@@ -254,10 +254,6 @@ def nfs_log2_ops(n_bits: int) -> float:
     return exponent / math.log(2)
 
 
-# alias matching the operation-style naming used elsewhere
-nfs_ops = nfs_log2_ops
-
-
 @dataclass(frozen=True)
 class QuantumEstimate:
     """Cost extrapolation at one bitlength.

@@ -21,10 +21,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
-from .cnf import Status
-from .encoder import EncodeSpec, decode, encode
+from .cnf import Formula, Status, VarMap
+from .encoder import DecodeError, decode, encode, spec_for
 from .numtheory import Semiprime, gen_semiprime, trial_division
-from .solver import SolverConfig, SolverError, solve, solve_external
+from .solver import SolveResult, SolverConfig, SolverError, solve, solve_external
 
 log = logging.getLogger(__name__)
 
@@ -132,50 +132,56 @@ def generate_instances(n_bits: int, count: int, master_seed: int) -> list[Semipr
     return found
 
 
-def _encode_for(plan: ExperimentPlan, n_bits: int, targets: list[Semiprime]):
-    if len(targets) == 1:
-        s = targets[0]
-        spec = EncodeSpec(
-            n_bits=n_bits,
-            targets=[s.value],
-            algorithm=plan.encoder,
-            factor_split=(s.p.bit_length(), s.q.bit_length()),
-        )
+def solve_and_verify(
+    formula: Formula,
+    varmap: VarMap,
+    seed: int,
+    time_limit: float | None,
+    external_cmd: str | None = None,
+) -> tuple[SolveResult, tuple[int, int, int] | None]:
+    """Solve with the embedded solver, or with ``external_cmd`` when given,
+    and check any model: its decoded factors must re-multiply to the target
+    it names, else :class:`DecodeError`.
+
+    Returns the solve result and ``(p, q, k)`` for a model, ``None`` otherwise.
+    """
+    if external_cmd:
+        result = solve_external(external_cmd, formula, time_limit)
     else:
-        spec = EncodeSpec(
-            n_bits=n_bits,
-            targets=[s.value for s in targets],
-            algorithm=plan.encoder,
-        )
-    return encode(spec)
+        result = solve(formula, SolverConfig(seed=seed, time_limit=time_limit))
+    if result.status is not Status.SAT:
+        return result, None
+    p, q, k = decode(varmap, result.assignment)
+    if p * q != varmap.targets[k]:
+        raise DecodeError(f"decoded {p} * {q} != {varmap.targets[k]}")
+    return result, (p, q, k)
 
 
 def _solve_task(args) -> RunRecord:
     """One solver run; used both inline and from worker processes."""
     plan, n_bits, instances, solver_seed = args
-    formula, varmap = _encode_for(plan, n_bits, instances)
-    if plan.solver == "external":
-        try:
-            result = solve_external(plan.external_cmd, formula, plan.time_limit)
-        except SolverError as exc:
-            log.warning("external solver failed on n=%d: %s", n_bits, exc)
-            return RunRecord(
-                plan.strategy, plan.encoder, plan.solver, n_bits, instances[0].value,
-                solver_seed, Status.UNKNOWN, 0.0, 0, 0, None,
-            )
-    else:
-        cfg = SolverConfig(seed=solver_seed, time_limit=plan.time_limit)
-        result = solve(formula, cfg)
+    split = instances[0].split if len(instances) == 1 else None
+    formula, varmap = encode(spec_for([s.value for s in instances], plan.encoder, split))
+    external_cmd = plan.external_cmd if plan.solver == "external" else None
+    try:
+        result, factors = solve_and_verify(
+            formula, varmap, solver_seed, plan.time_limit, external_cmd
+        )
+    except SolverError as exc:
+        if external_cmd is None:
+            raise
+        log.warning("external solver failed on n=%d: %s", n_bits, exc)
+        return RunRecord(
+            plan.strategy, plan.encoder, plan.solver, n_bits, instances[0].value,
+            solver_seed, Status.UNKNOWN, 0.0, 0, 0, None,
+        )
 
     n_value = instances[0].value
     matched = None
-    if result.status is Status.SAT:
-        p, q, matched_idx = decode(varmap, result.assignment)
-        target = varmap.targets[matched_idx] if varmap.targets else n_value
-        if p * q != target:
-            raise SolverError(f"decoded {p} * {q} != {target}")
-        n_value = target
-        matched = matched_idx if len(instances) > 1 else None
+    if factors is not None:
+        _, _, k = factors
+        n_value = varmap.targets[k]
+        matched = k if len(instances) > 1 else None
     return RunRecord(
         plan.strategy, plan.encoder, plan.solver, n_bits, n_value, solver_seed,
         result.status, result.wall_time, result.conflicts, result.decisions, matched,

@@ -17,9 +17,9 @@ import tempfile
 
 from . import analysis, bench, numtheory
 from .cnf import Status, parse_dimacs, unit_propagate, write_dimacs
-from .encoder import EncodeSpec, count_stats, decode, encode
+from .encoder import ALGORITHMS, EncodeSpec, encode, spec_for
 from .numtheory import factor_splits, gen_semiprime, metrics, trial_division, MetricVector
-from .solver import SolverConfig, solve, solve_external
+from .solver import SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,21 +103,12 @@ def _spec_from_args(args) -> EncodeSpec:
         semiprimes = numtheory.load_semiprimes_csv(args.targets)
         if not semiprimes:
             raise _UsageError(f"no rows in {args.targets}")
-        n_bits = semiprimes[0].n_bits
-        return EncodeSpec(
-            n_bits=n_bits,
-            targets=[s.value for s in semiprimes],
-            algorithm=args.alg,
-            factor_split=_parse_split(args.split),
-        )
-    if args.n is None:
+        targets = [s.value for s in semiprimes]
+    elif args.n is None:
         raise _UsageError("need --n or --targets")
-    return EncodeSpec(
-        n_bits=args.n.bit_length(),
-        targets=[args.n],
-        algorithm=args.alg,
-        factor_split=_parse_split(args.split),
-    )
+    else:
+        targets = [args.n]
+    return spec_for(targets, args.alg, _parse_split(args.split))
 
 
 def cmd_encode(args) -> int:
@@ -156,22 +147,16 @@ def cmd_factor(args) -> int:
     n_value = args.n
     if n_value < 4:
         raise _UsageError("--n must be >= 4")
-    n_bits = n_value.bit_length()
-    splits = [_parse_split(args.split)] if args.split else factor_splits(n_bits)
+    splits = [_parse_split(args.split)] if args.split else factor_splits(n_value.bit_length())
     saw_unknown = False
     for split in splits:
-        spec = EncodeSpec(n_bits=n_bits, targets=[n_value], algorithm=args.alg, factor_split=split)
-        formula, varmap = encode(spec)
-        if args.solver_cmd:
-            result = solve_external(args.solver_cmd, formula, args.time_limit)
-        else:
-            result = solve(formula, SolverConfig(seed=args.seed, time_limit=args.time_limit))
-        if result.status is Status.SAT:
-            p, q, _ = decode(varmap, result.assignment)
-            if p * q != n_value:
-                raise RuntimeError(f"decoded {p} * {q} != {n_value}")
-            p, q = min(p, q), max(p, q)
-            print(f"{n_value} = {p} * {q}")
+        formula, varmap = encode(spec_for([n_value], args.alg, split))
+        result, factors = bench.solve_and_verify(
+            formula, varmap, args.seed, args.time_limit, args.solver_cmd
+        )
+        if factors is not None:
+            p, q, _ = factors
+            print(f"{n_value} = {min(p, q)} * {max(p, q)}")
             return EXIT_OK
         if result.status is Status.UNKNOWN:
             saw_unknown = True
@@ -234,13 +219,7 @@ def cmd_analyze_fit(args) -> int:
 
 def cmd_analyze_community(args) -> int:
     semiprime = gen_semiprime(args.bits, args.seed)
-    spec = EncodeSpec(
-        n_bits=args.bits,
-        targets=[semiprime.value],
-        algorithm=args.alg,
-        factor_split=(semiprime.p.bit_length(), semiprime.q.bit_length()),
-    )
-    formula, _ = encode(spec)
+    formula, _ = encode(spec_for([semiprime.value], args.alg, semiprime.split))
     if args.simplified:
         formula = unit_propagate(formula).formula
     graph = analysis.build_vig(formula)
@@ -347,7 +326,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("encode", help="emit an annotated DIMACS instance")
     p.add_argument("--n", type=int, default=None, help="single target number")
     p.add_argument("--targets", default=None, help="semi-prime CSV for a multi-target instance")
-    p.add_argument("--alg", choices=("schoolbook", "karatsuba", "division"), default="schoolbook")
+    p.add_argument("--alg", choices=ALGORITHMS, default="schoolbook")
     p.add_argument("--split", default=None, help="factor bitlengths, like 3,4")
     p.add_argument("--fold-constants", action="store_true", help="unit-propagate before writing")
     p.add_argument("--out", default=None)
@@ -361,7 +340,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("factor", help="factor one number end to end")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alg", choices=("schoolbook", "karatsuba", "division"), default="schoolbook")
+    p.add_argument("--alg", choices=ALGORITHMS, default="schoolbook")
     p.add_argument("--split", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--solver-cmd", default=None, help="external solver command")
@@ -373,7 +352,7 @@ def build_parser() -> _Parser:
     p.add_argument("--per-n", type=int, default=20)
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--strategy", choices=bench.STRATEGIES, default="mean")
-    p.add_argument("--encoder", choices=("schoolbook", "karatsuba", "division"), default="schoolbook")
+    p.add_argument("--encoder", choices=ALGORITHMS, default="schoolbook")
     p.add_argument("--solver-cmd", default=None, help="external solver command")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--time-limit", type=float, default=None)
@@ -393,7 +372,7 @@ def build_parser() -> _Parser:
 
     pa = analyze_sub.add_parser("community", help="variable-graph modularity of an instance")
     pa.add_argument("--bits", type=int, required=True)
-    pa.add_argument("--alg", choices=("schoolbook", "karatsuba", "division"), default="schoolbook")
+    pa.add_argument("--alg", choices=ALGORITHMS, default="schoolbook")
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--simplified", action="store_true", help="unit-propagate first")
     pa.add_argument("--out", default=None)

@@ -106,15 +106,6 @@ class Formula:
                         f"literal {lit} out of range for {self.num_vars} variables"
                     )
 
-    def __eq__(self, other):
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return (
-            self.num_vars == other.num_vars
-            and self.clauses == other.clauses
-            and self.varmap == other.varmap
-        )
-
 
 def write_dimacs(formula: Formula) -> str:
     """Serialize to DIMACS, with any varmap annotations as leading comments."""
@@ -294,9 +285,11 @@ class SimplifyResult:
 
     ``formula`` holds the surviving clauses (unit clauses consumed,
     satisfied clauses dropped, falsified literals deleted) with variable
-    ids intact.  ``units`` is the forced partial assignment.  ``conflict``
-    marks derivation of an empty clause, in which case ``formula`` is
-    empty and meaningless.
+    ids intact, followed by a unit clause for every forced varmap variable,
+    so the varmap still decodes models of the simplified formula.
+    ``units`` is the forced partial assignment.  ``conflict`` marks
+    derivation of an empty clause, in which case ``formula`` is empty and
+    meaningless.
     """
 
     formula: Formula
@@ -340,4 +333,6 @@ def unit_propagate(formula: Formula) -> SimplifyResult:
         clauses = remaining
         if not progress:
             break
+    if formula.varmap is not None:
+        clauses += [(v if units[v] else -v,) for v in formula.varmap.all_vars() if v in units]
     return SimplifyResult(Formula(formula.num_vars, clauses, varmap=formula.varmap), units)

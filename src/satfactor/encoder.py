@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 from .cnf import Assignment, Clause, Formula, VarMap, make_clause
 
-ALGORITHMS = ("schoolbook", "karatsuba", "division")
-
 KARATSUBA_BASE_BITS = 4
 
 
@@ -65,6 +63,14 @@ class EncodeSpec:
             )
 
 
+def spec_for(
+    targets: list[int], algorithm: str = "schoolbook", split: tuple[int, int] | None = None
+) -> EncodeSpec:
+    """The spec for factoring ``targets``, sized to the bitlength of the first."""
+    n_bits = targets[0].bit_length() if targets else 0
+    return EncodeSpec(n_bits=n_bits, targets=targets, algorithm=algorithm, factor_split=split)
+
+
 def bnot(bit):
     if bit is True:
         return False
@@ -89,9 +95,6 @@ class CircuitBuilder:
             if abs(lit) > self.num_vars:
                 raise EncodeError(f"literal {lit} references an unallocated variable")
         self.clauses.append(make_clause(lits))
-
-    def unit(self, lit: int) -> None:
-        self.add(lit)
 
     # -- gate primitives: inputs are literals, each defines a fresh output wire
 
@@ -283,11 +286,11 @@ class CircuitBuilder:
         """Return a plain variable equal to the given bit, allocating if needed."""
         if bit is True:
             v = self.fresh_var()
-            self.unit(v)
+            self.add(v)
             return v
         if bit is False:
             v = self.fresh_var()
-            self.unit(-v)
+            self.add(-v)
             return v
         if bit > 0:
             return bit
@@ -306,24 +309,18 @@ def compress_columns(builder: CircuitBuilder, columns: list[list], width: int) -
     exact adder network and are dropped.
     """
     columns = [list(col) for col in columns]
-    columns.extend([] for _ in range(width - len(columns)))
+    columns.extend([] for _ in range(width + 1 - len(columns)))
     outs = []
     for idx in range(width):
         bits = [b for b in columns[idx] if b is not False]
-        while len(bits) >= 3:
-            s, cout = builder.full_add(bits.pop(0), bits.pop(0), bits.pop(0))
+        while len(bits) >= 2:
+            if len(bits) >= 3:
+                s, cout = builder.full_add(bits.pop(0), bits.pop(0), bits.pop(0))
+            else:
+                s, cout = builder.half_add(bits.pop(0), bits.pop(0))
             if s is not False:
                 bits.append(s)
             if cout is not False:
-                if idx + 1 == len(columns):
-                    columns.append([])
-                columns[idx + 1].append(cout)
-        if len(bits) == 2:
-            s, cout = builder.half_add(bits[0], bits[1])
-            bits = [s] if s is not False else []
-            if cout is not False:
-                if idx + 1 == len(columns):
-                    columns.append([])
                 columns[idx + 1].append(cout)
         outs.append(bits[0] if bits else False)
     return outs
@@ -395,22 +392,24 @@ def karatsuba_product(builder: CircuitBuilder, p_bits: list, q_bits: list) -> li
     return compress_columns(builder, columns, width)
 
 
-def _allocate_factors(builder: CircuitBuilder, spec: EncodeSpec) -> tuple[list[int], list[int]]:
+def _multiplier(spec: EncodeSpec, product_fn):
+    """A builder holding the factor variables, their leading bits pinned to 1,
+    and their product; returns it with the factor and output variables."""
+    builder = CircuitBuilder()
     m_p, m_q = spec.factor_split
     p_bits = [builder.fresh_var() for _ in range(m_p)]
     q_bits = [builder.fresh_var() for _ in range(m_q)]
-    return p_bits, q_bits
-
-
-def _fix_leading_bits(builder: CircuitBuilder, p_bits: list[int], q_bits: list[int]) -> None:
     # excludes the trivial factorizations 1 * N and N * 1
-    builder.unit(p_bits[-1])
-    builder.unit(q_bits[-1])
+    builder.add(p_bits[-1])
+    builder.add(q_bits[-1])
+    out = product_fn(builder, p_bits, q_bits)
+    out_vars = [builder.materialize(bit) for bit in out]
+    return builder, p_bits, q_bits, out_vars
 
 
 def _fix_output(builder: CircuitBuilder, out_vars: list[int], value: int) -> None:
     for i, v in enumerate(out_vars):
-        builder.unit(v if (value >> i) & 1 else -v)
+        builder.add(v if (value >> i) & 1 else -v)
 
 
 def _single_target(spec: EncodeSpec) -> int:
@@ -421,11 +420,7 @@ def _single_target(spec: EncodeSpec) -> int:
 
 def _product_encoding(spec: EncodeSpec, product_fn) -> tuple[Formula, VarMap]:
     target = _single_target(spec)
-    builder = CircuitBuilder()
-    p_bits, q_bits = _allocate_factors(builder, spec)
-    _fix_leading_bits(builder, p_bits, q_bits)
-    out = product_fn(builder, p_bits, q_bits)
-    out_vars = [builder.materialize(bit) for bit in out]
+    builder, p_bits, q_bits, out_vars = _multiplier(spec, product_fn)
     _fix_output(builder, out_vars, target)
     varmap = VarMap(p_bits=p_bits, q_bits=q_bits, out_bits=out_vars, targets=[target])
     formula = Formula(builder.num_vars, builder.clauses, varmap=varmap)
@@ -456,7 +451,7 @@ def encode_division(spec: EncodeSpec) -> tuple[Formula, VarMap]:
     builder = CircuitBuilder()
     divisor = [builder.fresh_var() for _ in range(m_p)]
     dividend = [builder.fresh_var() for _ in range(n)]
-    builder.unit(divisor[-1])
+    builder.add(divisor[-1])
     _fix_output(builder, dividend, target)
 
     width = m_p + 1  # restored remainder stays below the divisor
@@ -476,15 +471,15 @@ def encode_division(spec: EncodeSpec) -> tuple[Formula, VarMap]:
         elif took is True:
             raise EncodeError("quotient provably exceeds its width")
         elif took is not False:
-            builder.unit(bnot(took))
+            builder.add(bnot(took))
         remainder = [builder.bmux(borrow, shifted[k], diff[k]) for k in range(width)]
     quotient.reverse()
-    builder.unit(quotient[-1])
+    builder.add(quotient[-1])
     for bit in remainder:
         if bit is True:
             raise EncodeError("remainder provably nonzero")
         if bit is not False:
-            builder.unit(bnot(bit))
+            builder.add(bnot(bit))
 
     varmap = VarMap(p_bits=divisor, q_bits=quotient, out_bits=dividend, targets=[target])
     formula = Formula(builder.num_vars, builder.clauses, varmap=varmap)
@@ -498,11 +493,7 @@ def encode_multi_target(spec: EncodeSpec) -> tuple[Formula, VarMap]:
     the final clause demands that some selector holds, so any model factors
     one of the targets and names which.
     """
-    builder = CircuitBuilder()
-    p_bits, q_bits = _allocate_factors(builder, spec)
-    _fix_leading_bits(builder, p_bits, q_bits)
-    out = schoolbook_product(builder, p_bits, q_bits)
-    out_vars = [builder.materialize(bit) for bit in out]
+    builder, p_bits, q_bits, out_vars = _multiplier(spec, schoolbook_product)
     sel_vars = []
     for target in spec.targets:
         sel = builder.fresh_var()
@@ -525,17 +516,22 @@ def encode_multi_target(spec: EncodeSpec) -> tuple[Formula, VarMap]:
     return formula, varmap
 
 
+_ENCODERS = {
+    "schoolbook": encode_schoolbook,
+    "karatsuba": encode_karatsuba,
+    "division": encode_division,
+}
+
+ALGORITHMS = tuple(_ENCODERS)
+
+
 def encode(spec: EncodeSpec) -> tuple[Formula, VarMap]:
     """Dispatch on algorithm; multiple targets always use the selector encoding."""
     if len(spec.targets) > 1:
         if spec.algorithm != "schoolbook":
             raise EncodeError("multi-target instances use the schoolbook multiplier")
         return encode_multi_target(spec)
-    return {
-        "schoolbook": encode_schoolbook,
-        "karatsuba": encode_karatsuba,
-        "division": encode_division,
-    }[spec.algorithm](spec)
+    return _ENCODERS[spec.algorithm](spec)
 
 
 def decode(varmap: VarMap, assignment: Assignment) -> tuple[int, int, int]:

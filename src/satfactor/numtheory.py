@@ -77,6 +77,11 @@ class Semiprime:
         if abs(self.p.bit_length() - self.q.bit_length()) > 1:
             raise ValueError("factor bitlengths differ by more than one")
 
+    @property
+    def split(self) -> tuple[int, int]:
+        """Bitlengths of (p, q): the factor split that admits this factorization."""
+        return self.p.bit_length(), self.q.bit_length()
+
 
 def _random_odd_with_top_bit(rng: random.Random, bits: int) -> int:
     return (1 << (bits - 1)) | rng.getrandbits(bits - 1) | 1
@@ -184,9 +189,6 @@ class MetricVector:
     log2_n: float
 
     FIELDS = ("hw_n", "hw_p", "hw_q", "hw_pxq", "smooth_p1", "smooth_q1", "abs_diff", "log2_n")
-
-    def as_tuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.FIELDS)
 
 
 def metrics(s: Semiprime) -> MetricVector:

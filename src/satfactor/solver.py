@@ -29,6 +29,9 @@ _VAL_FALSE = 0
 _VAL_TRUE = 1
 _VAL_UNDEF = 2
 
+_VAR_DECAY = 0.95
+_RESTART_BASE = 64  # conflicts per Luby unit
+_RANDOM_POLARITY_PROB = 0.02
 _CORE_LBD = 3  # learned clauses at or below this literal-block distance are kept forever
 _REDUCE_START = 4000
 _REDUCE_GROWTH = 1.2
@@ -50,19 +53,8 @@ class SolverOutputError(SolverError):
 @dataclass
 class SolverConfig:
     seed: int = 0
-    var_decay: float = 0.95
-    restart_base: int = 64
-    random_polarity_prob: float = 0.02
     conflict_limit: int | None = None
     time_limit: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.var_decay < 1.0:
-            raise ValueError("var_decay must lie strictly between 0 and 1")
-        if self.restart_base < 1:
-            raise ValueError("restart_base must be >= 1")
-        if not 0.0 <= self.random_polarity_prob <= 1.0:
-            raise ValueError("random_polarity_prob must lie in [0, 1]")
 
 
 @dataclass
@@ -379,7 +371,7 @@ class _Cdcl:
             return SolveResult(Status.UNSAT, None, 0, 0, 0, time.perf_counter() - start)
 
         restart_count = 0
-        restart_limit = cfg.restart_base * luby(1)
+        restart_limit = _RESTART_BASE * luby(1)
         conflicts_since_restart = 0
         reduce_interval = _REDUCE_START
         next_reduce = _REDUCE_START
@@ -396,7 +388,7 @@ class _Cdcl:
                 learnt, backtrack_level, lbd = self._analyze(conflict)
                 self._backtrack(backtrack_level)
                 self._record_learnt(learnt, lbd)
-                self.var_inc /= cfg.var_decay
+                self.var_inc /= _VAR_DECAY
 
                 if cfg.conflict_limit is not None and self.conflicts >= cfg.conflict_limit:
                     status = Status.UNKNOWN
@@ -416,7 +408,7 @@ class _Cdcl:
 
             if conflicts_since_restart >= restart_limit:
                 restart_count += 1
-                restart_limit = cfg.restart_base * luby(restart_count + 1)
+                restart_limit = _RESTART_BASE * luby(restart_count + 1)
                 conflicts_since_restart = 0
                 self._backtrack(0)
                 continue
@@ -434,7 +426,7 @@ class _Cdcl:
                 status = Status.SAT
                 break
             self.decisions += 1
-            if cfg.random_polarity_prob > 0 and self.rng.random() < cfg.random_polarity_prob:
+            if self.rng.random() < _RANDOM_POLARITY_PROB:
                 polarity = self.rng.random() < 0.5
             else:
                 polarity = self.saved_phase[var]

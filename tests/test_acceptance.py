@@ -17,15 +17,17 @@ from satfactor.bench import ExperimentPlan, aggregate, run_experiment
 from satfactor.cli import correlation_table
 from satfactor.cnf import Formula, Status, evaluate
 from satfactor.encoder import (
-    EncodeSpec,
     count_stats,
     decode,
     encode,
     encode_schoolbook,
     schoolbook_size_model,
+    spec_for,
 )
 from satfactor.numtheory import gen_semiprime, is_prime
 from satfactor.solver import SolverConfig, solve
+
+pytestmark = pytest.mark.slow
 
 WORKERS = 2
 MASTER_SEED = 20240811
@@ -77,21 +79,11 @@ def min_dataset():
     return run_experiment(plan, workers=WORKERS)
 
 
-def balanced_instance(n_bits, seed):
-    s = gen_semiprime(n_bits, seed)
-    spec = EncodeSpec(
-        n_bits=n_bits,
-        targets=[s.value],
-        factor_split=(s.p.bit_length(), s.q.bit_length()),
-    )
-    return s, spec
-
-
 def test_criterion_1_encoder_size_scaling():
     with criterion(1, "encoder size scaling"):
         for n in (32, 64, 128):
-            s, spec = balanced_instance(n, seed=n)
-            stats = count_stats(encode_schoolbook(spec)[0])
+            s = gen_semiprime(n, seed=n)
+            stats = count_stats(encode_schoolbook(spec_for([s.value], split=s.split))[0])
             model_vars, model_clauses = schoolbook_size_model(n)
             assert abs(stats.vars - model_vars) <= 0.15 * model_vars, (n, stats.vars)
             assert abs(stats.clauses - model_clauses) <= 0.15 * model_clauses, (n, stats.clauses)
@@ -103,8 +95,8 @@ def test_criterion_2_end_to_end_correctness():
         failures = []
         for n_bits in range(8, 21):
             for i in range(50):
-                s, spec = balanced_instance(n_bits, seed=1000 * n_bits + i)
-                formula, varmap = encode_schoolbook(spec)
+                s = gen_semiprime(n_bits, seed=1000 * n_bits + i)
+                formula, varmap = encode_schoolbook(spec_for([s.value], split=s.split))
                 result = solve(formula, SolverConfig(seed=i))
                 if result.status is not Status.SAT:
                     failures.append((n_bits, s.value, result.status))
@@ -125,9 +117,7 @@ def test_criterion_3_prime_inputs_unsat():
             candidate = (1 << (n_bits - 1)) | rng.getrandbits(n_bits - 1) | 1
             if not is_prime(candidate):
                 continue
-            half_up = (n_bits + 1) // 2
-            spec = EncodeSpec(n_bits=n_bits, targets=[candidate], factor_split=(half_up, half_up))
-            result = solve(encode_schoolbook(spec)[0], SolverConfig(seed=checked))
+            result = solve(encode_schoolbook(spec_for([candidate]))[0], SolverConfig(seed=checked))
             assert result.status is Status.UNSAT, candidate
             checked += 1
 
@@ -137,14 +127,9 @@ def test_criterion_4_encoding_equisatisfiability():
         rng = random.Random(4)
         for _ in range(25):
             n_bits = rng.randint(8, 16)
-            s, _ = balanced_instance(n_bits, seed=rng.getrandbits(32))
-            split = (s.p.bit_length(), s.q.bit_length())
+            s = gen_semiprime(n_bits, seed=rng.getrandbits(32))
             for algorithm in ("schoolbook", "karatsuba", "division"):
-                spec = EncodeSpec(
-                    n_bits=n_bits, targets=[s.value],
-                    algorithm=algorithm, factor_split=split,
-                )
-                formula, varmap = encode(spec)
+                formula, varmap = encode(spec_for([s.value], algorithm, s.split))
                 result = solve(formula, SolverConfig(seed=1))
                 assert result.status is Status.SAT, (algorithm, s.value)
                 p, q, _ = decode(varmap, result.assignment)
@@ -264,8 +249,8 @@ def test_criterion_9_modularity_correctness():
 def test_criterion_10_high_modularity_of_instances():
     with criterion(10, "factoring instances have Q above the hardness band"):
         for n_bits in (16, 24, 32):
-            _, spec = balanced_instance(n_bits, seed=n_bits + 1)
-            formula, _ = encode_schoolbook(spec)
+            s = gen_semiprime(n_bits, seed=n_bits + 1)
+            formula, _ = encode_schoolbook(spec_for([s.value], split=s.split))
             graph = analysis.build_vig(formula)
             result = analysis.cnm_communities(graph)
             print(f"\n  n={n_bits}: Q={result.q:.3f}")

@@ -1,7 +1,9 @@
 import dataclasses
+import sys
 
 import pytest
 
+from satfactor import bench
 from satfactor.bench import (
     CSV_COLUMNS,
     Dataset,
@@ -14,8 +16,13 @@ from satfactor.bench import (
     load_csv,
     run_experiment,
     save_csv,
+    solve_and_verify,
 )
 from satfactor.cnf import Status
+from satfactor.encoder import DecodeError, encode, spec_for
+from satfactor.numtheory import gen_semiprime
+
+EXTERNAL = f"{sys.executable} -m satfactor.cli solve"
 
 
 def tiny_plan(**overrides):
@@ -113,14 +120,61 @@ class TestRunExperiment:
         assert dataset.records[0].status is Status.UNKNOWN
 
     def test_external_solver_round_trip(self):
-        import sys
-
         plan = tiny_plan(
             bitlengths=(10,), semiprimes_per_n=2, seeds_per_instance=1,
-            solver="external", external_cmd=f"{sys.executable} -m satfactor.cli solve",
+            solver="external", external_cmd=EXTERNAL,
         )
         dataset = run_experiment(plan)
         assert all(r.status is Status.SAT for r in dataset.records)
+
+    def test_embedded_plan_ignores_external_cmd(self):
+        dataset = run_experiment(tiny_plan(external_cmd="/nonexistent/solver"))
+        assert dataset.records
+        for r in dataset.records:
+            assert r.status is Status.SAT
+            assert r.solver == "embedded"
+
+    @pytest.mark.parametrize("solver", ["embedded", "external"])
+    def test_decode_mismatch_raises(self, monkeypatch, solver):
+        real_encode = bench.encode
+
+        def wrong_target(spec):
+            formula, varmap = real_encode(spec)
+            varmap.targets[0] += 2
+            return formula, varmap
+
+        monkeypatch.setattr(bench, "encode", wrong_target)
+        plan = tiny_plan(
+            bitlengths=(10,), semiprimes_per_n=1, seeds_per_instance=1,
+            solver=solver, external_cmd=EXTERNAL,
+        )
+        with pytest.raises(DecodeError):
+            run_experiment(plan)
+
+
+class TestSolveAndVerify:
+    def instance(self):
+        s = gen_semiprime(12, seed=3)
+        formula, varmap = encode(spec_for([s.value], split=s.split))
+        return s, formula, varmap
+
+    def test_model_decoded_and_checked(self):
+        s, formula, varmap = self.instance()
+        result, factors = solve_and_verify(formula, varmap, seed=0, time_limit=None)
+        assert result.status is Status.SAT
+        assert factors in ((s.p, s.q, 0), (s.q, s.p, 0))
+
+    def test_no_model_no_factors(self):
+        formula, varmap = encode(spec_for([4093]))  # prime
+        result, factors = solve_and_verify(formula, varmap, seed=0, time_limit=None)
+        assert result.status is Status.UNSAT
+        assert factors is None
+
+    def test_altered_target_raises(self):
+        _, formula, varmap = self.instance()
+        varmap.targets[0] += 2
+        with pytest.raises(DecodeError):
+            solve_and_verify(formula, varmap, seed=0, time_limit=None)
 
 
 def synthetic_dataset():

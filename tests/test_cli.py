@@ -1,10 +1,13 @@
 import json
+import sys
 
 import pytest
 
-from satfactor.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main
+from satfactor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_UNKNOWN, EXIT_USAGE, main
 from satfactor.cnf import parse_dimacs, parse_solver_output, Status
-from satfactor.encoder import count_stats
+from satfactor.encoder import count_stats, decode
+
+EXTERNAL = f"{sys.executable} -m satfactor.cli solve"
 
 
 def run(capsys, *argv):
@@ -75,6 +78,18 @@ class TestEncode:
         _, folded, _ = run(capsys, "encode", "--n", "35", "--fold-constants")
         assert count_stats(parse_dimacs(folded)).clauses < count_stats(parse_dimacs(raw)).clauses
 
+    def test_fold_constants_still_decodes(self, capsys, tmp_path):
+        path = tmp_path / "folded.cnf"
+        run(capsys, "encode", "--n", "143", "--fold-constants", "--out", str(path))
+        varmap = parse_dimacs(path.read_text()).varmap
+        for seed in range(20):
+            code, out, _ = run(capsys, "solve", str(path), "--seed", str(seed))
+            assert code == EXIT_OK
+            status, assignment = parse_solver_output(out)
+            assert status is Status.SAT
+            p, q, _ = decode(varmap, assignment)
+            assert {p, q} == {11, 13}, seed
+
     def test_needs_target(self, capsys):
         code, _, err = run(capsys, "encode")
         assert code == EXIT_USAGE
@@ -137,6 +152,21 @@ class TestFactor:
         code, out, _ = run(capsys, "factor", "--n", "35", "--alg", "division")
         assert code == EXIT_OK
         assert out.strip() == "35 = 5 * 7"
+
+    def test_external_solver(self, capsys):
+        code, out, _ = run(capsys, "factor", "--n", "143", "--solver-cmd", EXTERNAL)
+        assert code == EXIT_OK
+        assert out.strip() == "143 = 11 * 13"
+
+    def test_external_solver_prime(self, capsys):
+        code, out, _ = run(capsys, "factor", "--n", "13", "--solver-cmd", EXTERNAL)
+        assert code == EXIT_OK
+        assert out.strip() == "no factorization"
+
+    def test_external_solver_missing(self, capsys):
+        code, _, err = run(capsys, "factor", "--n", "143", "--solver-cmd", "/nonexistent/solver")
+        assert code == EXIT_RUNTIME
+        assert "error" in err
 
 
 class TestBenchAnalyzeEstimate:

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from satfactor.cnf import Formula, Status, unit_propagate
+from satfactor.bench import generate_instances
+from satfactor.cnf import Formula, Status, parse_dimacs, unit_propagate, write_dimacs
 from satfactor.encoder import (
+    ALGORITHMS,
     CircuitBuilder,
     DecodeError,
     EncodeError,
@@ -17,6 +19,7 @@ from satfactor.encoder import (
     encode_multi_target,
     encode_schoolbook,
     schoolbook_size_model,
+    spec_for,
 )
 from satfactor.numtheory import gen_semiprime
 from satfactor.solver import SolverConfig, solve
@@ -397,6 +400,25 @@ class TestEncodeSpecValidation:
         spec = EncodeSpec(n_bits=6, targets=[35, 55], algorithm="karatsuba", factor_split=(3, 4))
         with pytest.raises(EncodeError, match="multi-target"):
             encode(spec)
+
+
+@pytest.mark.parametrize("fold", [False, True], ids=["raw", "folded"])
+@pytest.mark.parametrize("algorithm", [*ALGORITHMS, "multi_target"])
+def test_round_trip_decodes_to_target(algorithm, fold):
+    if algorithm == "multi_target":
+        spec = spec_for([s.value for s in generate_instances(12, 3, master_seed=4)])
+    else:
+        s = gen_semiprime(12, seed=4)
+        spec = spec_for([s.value], algorithm, s.split)
+    formula, _ = encode(spec)
+    if fold:
+        formula = unit_propagate(formula).formula
+    parsed = parse_dimacs(write_dimacs(formula))
+    for seed in range(5):
+        result = solve(parsed, SolverConfig(seed=seed))
+        assert result.status is Status.SAT
+        p, q, k = decode(parsed.varmap, result.assignment)
+        assert p * q == parsed.varmap.targets[k], seed
 
 
 def test_varmap_survives_dimacs(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from satfactor.cnf import Formula, Status, evaluate
-from satfactor.encoder import EncodeSpec, decode, encode_schoolbook
+from satfactor.encoder import decode, encode, spec_for
 from satfactor.numtheory import gen_semiprime
 from satfactor.solver import (
     SolverConfig,
@@ -41,15 +41,6 @@ def random_3cnf(rng, num_vars, num_clauses):
     return Formula(num_vars, clauses)
 
 
-def factoring_instance(n_bits, seed):
-    s = gen_semiprime(n_bits, seed)
-    spec = EncodeSpec(
-        n_bits=n_bits, targets=[s.value],
-        factor_split=(s.p.bit_length(), s.q.bit_length()),
-    )
-    return encode_schoolbook(spec) + (s,)
-
-
 class TestLuby:
     def test_sequence(self):
         assert [luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
@@ -57,27 +48,6 @@ class TestLuby:
     def test_one_based(self):
         with pytest.raises(ValueError):
             luby(0)
-
-
-class TestSolverConfig:
-    def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.var_decay == 0.95
-        assert cfg.restart_base == 64
-        assert cfg.random_polarity_prob == 0.02
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"var_decay": 0.0},
-            {"var_decay": 1.0},
-            {"restart_base": 0},
-            {"random_polarity_prob": 1.5},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            SolverConfig(**kwargs)
 
 
 class TestSolveBasics:
@@ -95,7 +65,8 @@ class TestSolveBasics:
         assert set(result.assignment) == {1, 2, 3}
 
     def test_factor_35_end_to_end(self):
-        formula, varmap, s = factoring_instance(6, seed=0)
+        s = gen_semiprime(6, seed=0)
+        formula, varmap = encode(spec_for([s.value], split=s.split))
         result = solve(formula, SolverConfig(seed=1))
         assert result.status is Status.SAT
         p, q, _ = decode(varmap, result.assignment)
@@ -111,6 +82,7 @@ class TestSolveBasics:
 
 
 class TestOracleEquivalence:
+    @pytest.mark.slow
     def test_200_random_formulas(self):
         rng = random.Random(1234)
         sat = unsat = 0
@@ -132,7 +104,8 @@ class TestOracleEquivalence:
 
 class TestDeterminismAndSeeds:
     def test_identical_runs(self):
-        formula, _, _ = factoring_instance(18, seed=5)
+        s = gen_semiprime(18, seed=5)
+        formula, _ = encode(spec_for([s.value], split=s.split))
         a = solve(formula, SolverConfig(seed=9))
         b = solve(formula, SolverConfig(seed=9))
         assert (a.status, a.conflicts, a.decisions, a.propagations) == (
@@ -141,12 +114,14 @@ class TestDeterminismAndSeeds:
         assert a.assignment == b.assignment
 
     def test_seed_changes_search(self):
-        formula, _, _ = factoring_instance(20, seed=11)
+        s = gen_semiprime(20, seed=11)
+        formula, _ = encode(spec_for([s.value], split=s.split))
         counts = {solve(formula, SolverConfig(seed=s)).conflicts for s in range(50)}
         assert len(counts) >= 2
 
     def test_statuses_agree_across_seeds(self):
-        formula, varmap, s = factoring_instance(14, seed=2)
+        s = gen_semiprime(14, seed=2)
+        formula, varmap = encode(spec_for([s.value], split=s.split))
         for seed in range(10):
             result = solve(formula, SolverConfig(seed=seed))
             assert result.status is Status.SAT
@@ -156,18 +131,21 @@ class TestDeterminismAndSeeds:
 
 class TestLimits:
     def test_conflict_limit_unknown(self):
-        formula, _, _ = factoring_instance(20, seed=3)
+        s = gen_semiprime(20, seed=3)
+        formula, _ = encode(spec_for([s.value], split=s.split))
         result = solve(formula, SolverConfig(seed=0, conflict_limit=1))
         assert result.status is Status.UNKNOWN
         assert result.assignment is None
 
     def test_time_limit_zero_unknown(self):
-        formula, _, _ = factoring_instance(20, seed=4)
+        s = gen_semiprime(20, seed=4)
+        formula, _ = encode(spec_for([s.value], split=s.split))
         result = solve(formula, SolverConfig(seed=0, time_limit=0.0))
         assert result.status is Status.UNKNOWN
 
     def test_generous_limits_still_solve(self):
-        formula, _, _ = factoring_instance(10, seed=5)
+        s = gen_semiprime(10, seed=5)
+        formula, _ = encode(spec_for([s.value], split=s.split))
         result = solve(formula, SolverConfig(seed=0, conflict_limit=10**6, time_limit=60.0))
         assert result.status is Status.SAT
 
@@ -186,12 +164,14 @@ class TestSolveExternal:
         assert result.status is Status.UNSAT
 
     def test_factoring_instance(self):
-        formula, varmap, s = factoring_instance(12, seed=6)
+        s = gen_semiprime(12, seed=6)
+        formula, varmap = encode(spec_for([s.value], split=s.split))
         result = solve_external(EXTERNAL, formula, time_limit=120)
         assert result.status is Status.SAT
         p, q, _ = decode(varmap, result.assignment)
         assert p * q == s.value
 
+    @pytest.mark.slow
     def test_agrees_with_embedded_on_random_formulas(self):
         rng = random.Random(77)
         for _ in range(100):
@@ -201,7 +181,8 @@ class TestSolveExternal:
             assert embedded.status is external.status
 
     def test_zero_time_limit_unknown(self):
-        formula, _, _ = factoring_instance(16, seed=7)
+        s = gen_semiprime(16, seed=7)
+        formula, _ = encode(spec_for([s.value], split=s.split))
         result = solve_external(EXTERNAL, formula, time_limit=0.0)
         assert result.status is Status.UNKNOWN
         assert result.wall_time < 0.05
