@@ -14,13 +14,15 @@ loop free of sign juggling.
 
 from __future__ import annotations
 
-import heapq
+import os
 import random
 import shlex
+import signal
 import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 
 from .cnf import Assignment, Formula, Status, evaluate, parse_solver_output, write_dimacs
@@ -92,7 +94,11 @@ class _Cdcl:
         self.saved_phase = [rng.random() < 0.5 for _ in range(n + 1)]
         self.activity = [0.0] * (n + 1)
         self.var_inc = 1.0
+        # Lazy max-heap of (-activity, var).  queued[v] is 1 while v's entry at
+        # its current activity sits in the heap, so each variable has at most
+        # one live entry; older entries are stale and skipped when popped.
         self.heap = [(0.0, v) for v in range(1, n + 1)]
+        self.queued = bytearray([0] + [1] * n)
 
         self.watches: list[list] = [[] for _ in range(2 * n + 2)]
         self.trail: list[int] = []
@@ -142,33 +148,31 @@ class _Cdcl:
         self.trail.append(lit)
 
     def _backtrack(self, target_level: int) -> None:
-        if len(self.trail_lim) <= target_level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target_level:
             return
-        bound = self.trail_lim[target_level]
+        bound = trail_lim[target_level]
+        trail = self.trail
         lit_val = self.lit_val
+        saved_phase = self.saved_phase
+        reason = self.reason
         heap = self.heap
+        queued = self.queued
         activity = self.activity
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[i]
+        for lit in trail[bound:]:
             var = lit >> 1
-            self.saved_phase[var] = not lit & 1
+            saved_phase[var] = not lit & 1
             lit_val[lit] = _VAL_UNDEF
             lit_val[lit ^ 1] = _VAL_UNDEF
-            self.reason[var] = None
-            heapq.heappush(heap, (-activity[var], var))
-        del self.trail[bound:]
-        del self.trail_lim[target_level:]
+            reason[var] = None
+            if not queued[var]:
+                heappush(heap, (-activity[var], var))
+                queued[var] = 1
+        del trail[bound:]
+        del trail_lim[target_level:]
         self.qhead = bound
 
     # -- branching
-
-    def _bump_var(self, var: int) -> None:
-        act = self.activity[var] + self.var_inc
-        self.activity[var] = act
-        if act > 1e100:
-            self._rescale_activity()
-        else:
-            heapq.heappush(self.heap, (-act, var))
 
     def _rescale_activity(self) -> None:
         scale = 1e-100
@@ -180,91 +184,86 @@ class _Cdcl:
             for v in range(1, self.nvars + 1)
             if lit_val[2 * v] == _VAL_UNDEF
         ]
-        heapq.heapify(self.heap)
+        heapify(self.heap)
+        self.queued = bytearray(self.nvars + 1)
+        for _, v in self.heap:
+            self.queued[v] = 1
 
     def _pick_branch_var(self) -> int | None:
+        """The unassigned variable with the highest (activity, -var), or None."""
         heap = self.heap
         activity = self.activity
+        queued = self.queued
         lit_val = self.lit_val
         while heap:
-            neg_act, var = heapq.heappop(heap)
-            if lit_val[2 * var] != _VAL_UNDEF:
-                continue
+            neg_act, var = heappop(heap)
             if -neg_act != activity[var]:
-                continue  # stale entry; a fresher one exists
-            return var
+                continue  # stale: pushed before the last bump of var
+            queued[var] = 0
+            if lit_val[2 * var] == _VAL_UNDEF:
+                return var
         return None
 
     # -- propagation
 
     def _propagate(self):
+        # lit_val codes appear as literals in this loop (0 = _VAL_FALSE,
+        # 1 = _VAL_TRUE): a constant load is cheaper than a global lookup.
         lit_val = self.lit_val
         watches = self.watches
         trail = self.trail
         level = self.level
         reason = self.reason
         props = 0
-        conflict = None
         qhead = self.qhead
         current_level = len(self.trail_lim)
         while qhead < len(trail):
-            p = trail[qhead]
+            false_lit = trail[qhead] ^ 1
             qhead += 1
-            false_lit = p ^ 1
             ws = watches[false_lit]
-            i = j = 0
-            n_ws = len(ws)
-            while i < n_ws:
-                entry = ws[i]
-                i += 1
-                blocker = entry[0]
-                if lit_val[blocker] == _VAL_TRUE:
+            j = 0
+            for i, entry in enumerate(ws, 1):
+                blocker, c = entry
+                if lit_val[blocker] == 1:
                     ws[j] = entry
                     j += 1
                     continue
-                c = entry[1]
                 if c[0] == false_lit:
                     c[0] = c[1]
                     c[1] = false_lit
                 first = c[0]
-                if first != blocker and lit_val[first] == _VAL_TRUE:
-                    ws[j] = (first, c)
-                    j += 1
-                    continue
-                found = False
+                if first != blocker:
+                    if lit_val[first] == 1:
+                        ws[j] = (first, c)
+                        j += 1
+                        continue
+                    entry = (first, c)
                 for k in range(2, len(c)):
                     ck = c[k]
-                    if lit_val[ck] != _VAL_FALSE:
+                    if lit_val[ck] != 0:
                         c[1] = ck
                         c[k] = false_lit
-                        watches[ck].append((first, c))
-                        found = True
+                        watches[ck].append(entry)
                         break
-                if found:
-                    continue
-                ws[j] = (first, c)
-                j += 1
-                if lit_val[first] == _VAL_FALSE:
-                    while i < n_ws:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    qhead = len(trail)
-                    conflict = c
                 else:
-                    lit_val[first] = _VAL_TRUE
-                    lit_val[first ^ 1] = _VAL_FALSE
+                    ws[j] = entry
+                    j += 1
+                    if lit_val[first] == 0:
+                        del ws[j:i]  # keep the unvisited rest of the list
+                        self.qhead = len(trail)
+                        self.propagations += props
+                        return c
+                    lit_val[first] = 1
+                    lit_val[first ^ 1] = 0
                     var = first >> 1
                     level[var] = current_level
                     reason[var] = c
                     trail.append(first)
                     props += 1
             del ws[j:]
-            if conflict is not None:
-                break
         self.qhead = qhead
         self.propagations += props
-        return conflict
+        return None
 
     # -- conflict analysis (first UIP)
 
@@ -280,6 +279,10 @@ class _Cdcl:
         idx = len(trail) - 1
         c = conflict
         clause_act = self.clause_act
+        activity = self.activity
+        heap = self.heap
+        queued = self.queued
+        var_inc = self.var_inc
         while True:
             cid = id(c)
             if cid in clause_act:
@@ -290,7 +293,17 @@ class _Cdcl:
                 var = q >> 1
                 if not seen[var] and level[var] > 0:
                     seen[var] = 1
-                    self._bump_var(var)
+                    act = activity[var] + var_inc
+                    activity[var] = act
+                    if act > 1e100:
+                        self._rescale_activity()  # new activity, heap, queued, var_inc
+                        activity = self.activity
+                        heap = self.heap
+                        queued = self.queued
+                        var_inc = self.var_inc
+                    else:
+                        heappush(heap, (-act, var))
+                        queued[var] = 1
                     if level[var] >= current_level:
                         counter += 1
                     else:
@@ -460,8 +473,9 @@ def solve_external(cmd_template: str, formula: Formula, time_limit: float | None
     """Run an external DIMACS solver: ``<cmd> <dimacs-path>``.
 
     stdout is parsed by SAT-competition conventions; the exit code is
-    ignored whenever a verdict line is present.  A timeout kills the child
-    and yields UNKNOWN.
+    ignored whenever a verdict line is present.  The child runs in its own
+    session, so a timeout kills its whole process group (a shell wrapper's
+    children included) and yields UNKNOWN.
     """
     if time_limit is not None and time_limit <= 0:
         return SolveResult(Status.UNKNOWN, None, 0, 0, 0, 0.0)
@@ -473,18 +487,27 @@ def solve_external(cmd_template: str, formula: Formula, time_limit: float | None
         path.write_text(write_dimacs(formula))
         start = time.perf_counter()
         try:
-            proc = subprocess.run(
+            proc = subprocess.Popen(
                 argv + [str(path)],
-                capture_output=True,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
                 text=True,
-                timeout=time_limit,
+                start_new_session=True,
             )
-        except subprocess.TimeoutExpired:
-            return SolveResult(Status.UNKNOWN, None, 0, 0, 0, time.perf_counter() - start)
         except OSError as exc:
             raise SolverSpawnError(f"could not run {argv[0]!r}: {exc}") from exc
+        with proc:
+            try:
+                stdout, _ = proc.communicate(timeout=time_limit)
+            except subprocess.TimeoutExpired:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass  # the group exited on its own
+                proc.communicate()
+                return SolveResult(Status.UNKNOWN, None, 0, 0, 0, time.perf_counter() - start)
         wall = time.perf_counter() - start
-    status, assignment = parse_solver_output(proc.stdout)
+    status, assignment = parse_solver_output(stdout)
     if status is Status.UNKNOWN and proc.returncode not in (0, 10, 20):
         raise SolverOutputError(
             f"{argv[0]!r} exited with code {proc.returncode} and no verdict"

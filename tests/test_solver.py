@@ -1,5 +1,9 @@
+import hashlib
+import os
 import random
 import sys
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from satfactor.solver import (
     SolverConfig,
     SolverOutputError,
     SolverSpawnError,
+    _Cdcl,
     luby,
     solve,
     solve_external,
@@ -129,6 +134,102 @@ class TestDeterminismAndSeeds:
             assert p * q == s.value
 
 
+def model_digest(assignment):
+    if assignment is None:
+        return None
+    true_vars = ",".join(str(v) for v in sorted(assignment) if assignment[v])
+    return hashlib.sha256(true_vars.encode()).hexdigest()[:16]
+
+
+class TestGoldenCounters:
+    """Search counters pinned to recorded values.
+
+    A change to the hot loops that is meant to be implementation-only must
+    leave every branching choice, propagation and learnt clause as it was,
+    so these counters may not move.
+    """
+
+    @pytest.mark.parametrize(
+        "n, split, seed, conflict_limit, expected",
+        [
+            (191117, (9, 9), 0, None, ("SAT", 28, 32, 2645, "ccfbc6a8e65c39d9")),
+            (191117, (9, 9), 1, None, ("SAT", 119, 181, 6988, "c670d636e01bc16a")),
+            (191117, (9, 9), 2, None, ("SAT", 26, 35, 1922, "ccfbc6a8e65c39d9")),
+            (1228109, (10, 11), 0, None, ("UNSAT", 556, 727, 52150, None)),
+            (12218671, (12, 12), 0, 50, ("UNKNOWN", 50, 58, 6855, None)),
+            pytest.param(
+                33554467, (13, 13), 1, None, ("UNSAT", 4779, 6209, 606073, None),
+                marks=pytest.mark.slow,
+                id="prime26-reduce-and-rescale",
+            ),
+        ],
+    )
+    def test_counters(self, n, split, seed, conflict_limit, expected):
+        formula, _ = encode(spec_for([n], split=split))
+        result = solve(formula, SolverConfig(seed=seed, conflict_limit=conflict_limit))
+        got = (
+            result.status.name,
+            result.conflicts,
+            result.decisions,
+            result.propagations,
+            model_digest(result.assignment),
+        )
+        assert got == expected
+
+
+class _ReferenceBranching(_Cdcl):
+    """Checks every branching pick against a brute-force argmax."""
+
+    def __init__(self, formula, cfg):
+        super().__init__(formula, cfg)
+        self.picks = 0
+        self.rescales = 0
+
+    def _rescale_activity(self):
+        self.rescales += 1
+        super()._rescale_activity()
+
+    def _pick_branch_var(self):
+        variables = range(1, self.nvars + 1)
+        activity = self.activity
+        unassigned = {v for v in variables if self.lit_val[2 * v] == 2}
+        queued = {v for v in variables if self.queued[v]}
+        live = Counter(v for neg_act, v in self.heap if -neg_act == activity[v])
+        # one live entry per variable, flagged, and one for every unassigned variable
+        assert max(live.values(), default=1) == 1
+        assert unassigned <= queued == set(live)
+        expected = max(unassigned, key=lambda v: (activity[v], -v), default=None)
+        var = super()._pick_branch_var()
+        assert var == expected
+        self.picks += 1
+        return var
+
+
+class TestBranchingReference:
+    @pytest.mark.parametrize(
+        "n, split, seed",
+        [(191117, (9, 9), 1), (1228109, (10, 11), 0), (40301, (8, 8), 3)],
+    )
+    def test_picks_match_argmax(self, n, split, seed):
+        formula, _ = encode(spec_for([n], split=split))
+        solver = _ReferenceBranching(formula, SolverConfig(seed=seed))
+        result = solver.solve()
+        plain = solve(formula, SolverConfig(seed=seed))
+        assert solver.picks > 0
+        assert (result.status, result.conflicts, result.decisions, result.propagations) == (
+            plain.status, plain.conflicts, plain.decisions, plain.propagations,
+        )
+
+    def test_picks_match_argmax_across_rescale(self):
+        formula, _ = encode(spec_for([1228109], split=(11, 11)))
+        solver = _ReferenceBranching(formula, SolverConfig(seed=2))
+        solver.var_inc = 1e100  # the second conflict's bumps pass the rescale threshold
+        result = solver.solve()
+        assert result.status is Status.UNSAT
+        assert solver.rescales >= 1
+        assert solver.picks > 0
+
+
 class TestLimits:
     def test_conflict_limit_unknown(self):
         s = gen_semiprime(20, seed=3)
@@ -148,6 +249,19 @@ class TestLimits:
         formula, _ = encode(spec_for([s.value], split=s.split))
         result = solve(formula, SolverConfig(seed=0, conflict_limit=10**6, time_limit=60.0))
         assert result.status is Status.SAT
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:  # gone since the kill, or no procfs to tell a zombie
+        return not os.path.isdir("/proc")
 
 
 EXTERNAL = f"{sys.executable} -m satfactor.cli solve"
@@ -194,6 +308,18 @@ class TestSolveExternal:
         result = solve_external(f"{sys.executable} {script}", formula, time_limit=0.3)
         assert result.status is Status.UNKNOWN
         assert result.wall_time < 10
+
+    def test_timeout_kills_process_group(self, tmp_path):
+        pid_file = tmp_path / "grandchild.pid"
+        script = tmp_path / "wrapper.sh"
+        script.write_text(f"sleep 30 &\necho $! > {pid_file}\nsleep 30\n")
+        result = solve_external(f"sh {script}", Formula(1, [(1,)]), time_limit=0.5)
+        assert result.status is Status.UNKNOWN
+        grandchild = int(pid_file.read_text())
+        deadline = time.monotonic() + 5.0
+        while _running(grandchild) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(grandchild)
 
     def test_spawn_failure(self):
         with pytest.raises(SolverSpawnError):
