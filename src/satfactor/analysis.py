@@ -16,6 +16,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -118,7 +119,8 @@ class CommunityResult:
 
 
 def cnm_communities(graph: Graph) -> CommunityResult:
-    """Greedy agglomerative modularity maximization.
+    """Greedy agglomerative modularity maximization (Clauset, Newman and
+    Moore, Phys. Rev. E 70, 066111, 2004).
 
     Starts from singleton communities and merges the pair with the largest
     modularity gain while any gain is positive; since Q only ever rises,
@@ -126,6 +128,18 @@ def cnm_communities(graph: Graph) -> CommunityResult:
     community-id pair so results are deterministic.  Isolated vertices stay
     singletons.  The returned q is recomputed from the partition with
     :func:`modularity`.
+
+    The best pair comes from a lazy heap of ``(-dq, i, j)`` entries, one
+    pushed per adjacent pair ``i < j`` whose gain was positive when pushed.
+    Merging ``j`` into ``i`` changes the edge weight only of pairs ``(i, k)``
+    with ``k`` a neighbour of ``j``, and those get fresh entries.  Every
+    other entry stays an upper bound on its pair's gain, because the only
+    other change is that ``a[i]`` grows.  A popped entry is recomputed with
+    the same float expression: dead pairs are skipped, an unchanged gain is
+    merged, a lower positive gain is pushed again and any other is dropped.
+    So the first entry merged is the pair with the largest gain and, among
+    equal gains, the smallest ``(i, j)``, exactly as a rescan of all pairs
+    would pick it.
     """
     if not graph.edges:
         raise ValueError("modularity undefined on an empty edge set")
@@ -143,34 +157,41 @@ def cnm_communities(graph: Graph) -> CommunityResult:
     a = {c: degree[c] / two_m for c in neighbors}
     members: dict[int, list[int]] = {c: [c] for c in neighbors}
 
-    while True:
-        best = None
-        best_dq = 0.0
-        for i, nbrs in neighbors.items():
-            ai = a[i]
-            for j, weight in nbrs.items():
-                if j <= i:
-                    continue
+    heap = []
+    for i, nbrs in neighbors.items():
+        ai = a[i]
+        for j, weight in nbrs.items():
+            if j > i:
                 dq = 2.0 * (weight / two_m - ai * a[j])
-                if dq > best_dq or (dq == best_dq and best is not None and (i, j) < best):
-                    best = (i, j)
-                    best_dq = dq
-        if best is None or best_dq <= 0.0:
-            break
-        i, j = best
+                if dq > 0.0:
+                    heap.append((-dq, i, j))
+    heapify(heap)
+
+    while heap:
+        neg_dq, i, j = heappop(heap)
+        weight = neighbors.get(i, {}).get(j)
+        if weight is None:
+            continue  # i or j was merged away since this entry was pushed
+        dq = 2.0 * (weight / two_m - a[i] * a[j])
+        if dq != -neg_dq:
+            if dq > 0.0:
+                heappush(heap, (-dq, i, j))
+            continue
         # merge j into i
-        for k, weight in neighbors[j].items():
+        ai = a[i] = a[i] + a.pop(j)
+        nbrs_i = neighbors[i]
+        for k, weight in neighbors.pop(j).items():
             if k == i:
                 continue
-            neighbors[i][k] = neighbors[i].get(k, 0) + weight
-            neighbors[k][i] = neighbors[k].get(i, 0) + weight
-            del neighbors[k][j]
-        neighbors[i].pop(j, None)
-        del neighbors[j]
-        a[i] += a[j]
-        del a[j]
-        members[i].extend(members[j])
-        del members[j]
+            w = nbrs_i[k] = nbrs_i.get(k, 0) + weight
+            nbrs_k = neighbors[k]
+            nbrs_k[i] = w
+            del nbrs_k[j]
+            dq = 2.0 * (w / two_m - ai * a[k])
+            if dq > 0.0:
+                heappush(heap, (-dq, i, k) if i < k else (-dq, k, i))
+        del nbrs_i[j]
+        members[i].extend(members.pop(j))
 
     partition = {}
     for community, verts in members.items():

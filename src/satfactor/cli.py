@@ -57,16 +57,19 @@ def _write_output(path: str | None, text: str) -> None:
 
 def _parse_bits(text: str) -> list[int]:
     """Bitlength list: '14' or '10,12,14' or '10:18:2' (inclusive stop)."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (2, 3):
-            raise _UsageError(f"bad bit range {text!r}")
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-        if step < 1 or stop < start:
-            raise _UsageError(f"bad bit range {text!r}")
-        return list(range(start, stop + 1, step))
-    return [int(tok) for tok in text.split(",")]
+    is_range = ":" in text
+    try:
+        values = [int(tok) for tok in text.split(":" if is_range else ",")]
+    except ValueError:
+        raise _UsageError(f"bad bits {text!r}, expected like 14, 10,12,14 or 10:18:2")
+    if not is_range:
+        return values
+    if len(values) not in (2, 3):
+        raise _UsageError(f"bad bit range {text!r}")
+    start, stop, step = values if len(values) == 3 else (*values, 1)
+    if step < 1 or stop < start:
+        raise _UsageError(f"bad bit range {text!r}")
+    return list(range(start, stop + 1, step))
 
 
 def _parse_split(text: str | None) -> tuple[int, int] | None:

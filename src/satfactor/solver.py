@@ -95,8 +95,10 @@ class _Cdcl:
         self.activity = [0.0] * (n + 1)
         self.var_inc = 1.0
         # Lazy max-heap of (-activity, var).  queued[v] is 1 while v's entry at
-        # its current activity sits in the heap, so each variable has at most
-        # one live entry; older entries are stale and skipped when popped.
+        # its current activity sits in the heap.  Every unassigned variable has
+        # exactly one live entry; an assigned one may have none, because a bump
+        # (only assigned variables are bumped) leaves its entry stale and
+        # backtracking pushes a fresh one.  Stale entries are skipped when popped.
         self.heap = [(0.0, v) for v in range(1, n + 1)]
         self.queued = bytearray([0] + [1] * n)
 
@@ -280,7 +282,6 @@ class _Cdcl:
         c = conflict
         clause_act = self.clause_act
         activity = self.activity
-        heap = self.heap
         queued = self.queued
         var_inc = self.var_inc
         while True:
@@ -296,14 +297,14 @@ class _Cdcl:
                     act = activity[var] + var_inc
                     activity[var] = act
                     if act > 1e100:
-                        self._rescale_activity()  # new activity, heap, queued, var_inc
+                        self._rescale_activity()  # new activity, queued, var_inc
                         activity = self.activity
-                        heap = self.heap
                         queued = self.queued
                         var_inc = self.var_inc
                     else:
-                        heappush(heap, (-act, var))
-                        queued[var] = 1
+                        # var is assigned: its entry is stale now, and
+                        # _backtrack pushes a fresh one when it unassigns var.
+                        queued[var] = 0
                     if level[var] >= current_level:
                         counter += 1
                     else:

@@ -7,6 +7,7 @@ import pytest
 from satfactor.analysis import (
     DEFAULT_CLASSICAL_LOG2_INTERCEPT,
     DEFAULT_CLASSICAL_SLOPE,
+    CommunityResult,
     FitResult,
     Graph,
     best_partition_exhaustive,
@@ -21,6 +22,8 @@ from satfactor.analysis import (
     write_curve_csv,
 )
 from satfactor.cnf import Formula
+from satfactor.encoder import ALGORITHMS, encode, spec_for
+from satfactor.numtheory import gen_semiprime
 
 
 def graph(num_vertices, edge_list):
@@ -117,7 +120,107 @@ def random_graph(rng, num_vertices, edge_prob):
     return graph(num_vertices, edges)
 
 
+def cnm_full_scan(g):
+    """Reference CNM: rescans every adjacent pair before each merge and takes
+    the largest positive gain, ties to the smallest (i, j)."""
+    two_m = 2.0 * len(g.edges)
+    neighbors = {}
+    degree = {}
+    for u, v in g.edges:
+        neighbors.setdefault(u, {})[v] = 1
+        neighbors.setdefault(v, {})[u] = 1
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+    a = {c: degree[c] / two_m for c in neighbors}
+    members = {c: [c] for c in neighbors}
+
+    while True:
+        best = None
+        best_dq = 0.0
+        for i, nbrs in neighbors.items():
+            ai = a[i]
+            for j, weight in nbrs.items():
+                if j <= i:
+                    continue
+                dq = 2.0 * (weight / two_m - ai * a[j])
+                if dq > best_dq or (dq == best_dq and best is not None and (i, j) < best):
+                    best = (i, j)
+                    best_dq = dq
+        if best is None or best_dq <= 0.0:
+            break
+        i, j = best
+        for k, weight in neighbors[j].items():
+            if k == i:
+                continue
+            neighbors[i][k] = neighbors[i].get(k, 0) + weight
+            neighbors[k][i] = neighbors[k].get(i, 0) + weight
+            del neighbors[k][j]
+        neighbors[i].pop(j, None)
+        del neighbors[j]
+        a[i] += a[j]
+        del a[j]
+        members[i].extend(members[j])
+        del members[j]
+
+    partition = {}
+    for community, verts in members.items():
+        for v in verts:
+            partition[v] = community
+    for v in range(1, g.num_vertices + 1):
+        partition.setdefault(v, v)
+    return CommunityResult(partition, modularity(g, partition))
+
+
+def assert_same_as_full_scan(g):
+    expected = cnm_full_scan(g)
+    result = cnm_communities(g)
+    assert list(result.partition.items()) == list(expected.partition.items())
+    assert result.q == expected.q
+
+
+def disjoint_cliques(count, size):
+    edges = []
+    for c in range(count):
+        edges.extend(itertools.combinations(range(c * size + 1, (c + 1) * size + 1), 2))
+    return graph(count * size, edges)
+
+
+TIE_HEAVY = {
+    **{f"ring{n}": graph(n, [(v, v % n + 1) for v in range(1, n + 1)]) for n in (3, 4, 7, 12, 30)},
+    **{f"star{n}": graph(n, [(1, v) for v in range(2, n + 1)]) for n in (2, 5, 16)},
+    **{
+        f"k{p},{q}": graph(p + q, [(u, p + v) for u in range(1, p + 1) for v in range(1, q + 1)])
+        for p, q in ((2, 2), (2, 5), (3, 3), (4, 6))
+    },
+    **{f"{c}xK{s}": disjoint_cliques(c, s) for c, s in ((2, 3), (3, 4), (5, 2), (4, 5))},
+}
+
+
 class TestCnmCommunities:
+    def test_same_as_full_scan_on_random_graphs(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(2, 40), rng.choice([0.05, 0.1, 0.3, 0.6]))
+            if g.edges:
+                assert_same_as_full_scan(g)
+
+    @pytest.mark.parametrize("name", sorted(TIE_HEAVY))
+    def test_same_as_full_scan_on_tie_heavy_graphs(self, name):
+        assert_same_as_full_scan(TIE_HEAVY[name])
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("bits", [12, 16, 20, 24])
+    def test_same_as_full_scan_on_encoder_vigs(self, algorithm, bits):
+        s = gen_semiprime(bits, seed=bits)
+        formula, _ = encode(spec_for([s.value], algorithm, s.split))
+        assert_same_as_full_scan(build_vig(formula))
+
+    def test_same_as_full_scan_on_multi_target_vig(self):
+        targets = [gen_semiprime(16, seed).value for seed in range(4)]
+        assert len(set(targets)) == 4
+        formula, _ = encode(spec_for(targets))
+        assert_same_as_full_scan(build_vig(formula))
+
     def test_two_triangles(self):
         result = cnm_communities(TRIANGLES)
         assert result.q == 0.5

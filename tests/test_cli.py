@@ -248,3 +248,14 @@ class TestUsage:
     def test_bad_bit_range(self, capsys):
         code, _, _ = run(capsys, "bench", "--bits", "18:10", "--out", "-")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("bits", ["10,x", ":", "10:x"])
+    def test_non_integer_bits(self, capsys, bits):
+        code, _, err = run(capsys, "bench", "--bits", bits, "--out", "-")
+        assert code == EXIT_USAGE
+        assert "bad bit" in err
+
+    def test_non_integer_split(self, capsys):
+        code, _, err = run(capsys, "factor", "--n", "143", "--split", "2,x")
+        assert code == EXIT_USAGE
+        assert "bad split" in err
