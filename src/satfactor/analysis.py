@@ -81,10 +81,7 @@ def build_vig(formula: Formula) -> Graph:
     variables that share a clause (clique expansion, deduplicated)."""
     edges = set()
     for clause in formula.clauses:
-        variables = sorted({abs(lit) for lit in clause})
-        for i, u in enumerate(variables):
-            for v in variables[i + 1:]:
-                edges.add((u, v))
+        edges.update(itertools.combinations(sorted(set(map(abs, clause))), 2))
     return Graph(formula.num_vars, frozenset(edges))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 log = logging.getLogger(__name__)
 
@@ -118,8 +119,27 @@ def write_dimacs(formula: Formula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_varmap_comment(tokens: list[str], varmaps: dict, line_no: int) -> None:
-    # "varmap p <idx> <var>" / "varmap q .." / "varmap out .." / "varmap sel .."
+def _parse_header(line: str, line_no: int) -> tuple[int, int]:
+    """(variable count, clause count) from a stripped ``p cnf`` line."""
+    fields = line.split()
+    if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
+        raise DimacsError(line_no, f"malformed header: {line!r}")
+    try:
+        num_vars, num_clauses = int(fields[2]), int(fields[3])
+    except ValueError:
+        raise DimacsError(line_no, f"malformed header: {line!r}")
+    if num_vars < 0 or num_clauses < 0:
+        raise DimacsError(line_no, f"negative count in header: {line!r}")
+    return num_vars, num_clauses
+
+
+def _parse_comment(line: str, varmaps: dict, line_no: int) -> None:
+    """Record a ``c varmap <name> <idx> <var>`` or ``c target <idx> <value>``
+    annotation of a stripped comment line, with its line number; other
+    comments are dropped."""
+    tokens = line[1:].split()
+    if not tokens:
+        return
     if tokens[0] == "varmap":
         if len(tokens) != 4 or tokens[1] not in ("p", "q", "out", "sel"):
             raise DimacsError(line_no, f"bad varmap annotation: {' '.join(tokens)}")
@@ -127,7 +147,7 @@ def _parse_varmap_comment(tokens: list[str], varmaps: dict, line_no: int) -> Non
             idx, var = int(tokens[2]), int(tokens[3])
         except ValueError:
             raise DimacsError(line_no, f"non-integer varmap annotation: {' '.join(tokens)}")
-        varmaps.setdefault(tokens[1], {})[idx] = var
+        varmaps.setdefault(tokens[1], {})[idx] = (var, line_no)
     elif tokens[0] == "target":
         if len(tokens) != 3:
             raise DimacsError(line_no, f"bad target annotation: {' '.join(tokens)}")
@@ -135,18 +155,26 @@ def _parse_varmap_comment(tokens: list[str], varmaps: dict, line_no: int) -> Non
             idx, value = int(tokens[1]), int(tokens[2])
         except ValueError:
             raise DimacsError(line_no, f"non-integer target annotation: {' '.join(tokens)}")
-        varmaps.setdefault("target", {})[idx] = value
+        varmaps.setdefault("target", {})[idx] = (value, line_no)
 
 
-def _assemble_varmap(parts: dict) -> VarMap | None:
+def _assemble_varmap(parts: dict, num_vars: int, last_line: int) -> VarMap | None:
+    """The VarMap of the recorded annotations.  A gap in the indices is
+    reported on the last line, a variable outside 1..num_vars on its own."""
     if not parts:
         return None
 
     def ordered(name):
         entries = parts.get(name, {})
         if sorted(entries) != list(range(len(entries))):
-            raise CnfError(f"varmap {name} indices are not contiguous from 0")
-        return [entries[i] for i in range(len(entries))]
+            raise DimacsError(last_line, f"varmap {name} indices are not contiguous from 0")
+        values = [entries[i] for i in range(len(entries))]
+        for value, line_no in values:
+            if name != "target" and not 1 <= value <= num_vars:
+                raise DimacsError(
+                    line_no, f"varmap {name} variable {value} out of range for {num_vars} variables"
+                )
+        return [value for value, _ in values]
 
     return VarMap(
         p_bits=ordered("p"),
@@ -157,40 +185,77 @@ def _assemble_varmap(parts: dict) -> VarMap | None:
     )
 
 
-def parse_dimacs(text: str) -> Formula:
-    """Parse DIMACS text; varmap annotation comments are preserved.
+class _Literals(dict):
+    """Literal token -> int; each distinct token is converted only once."""
 
-    Raises :class:`DimacsError` with a line number for a malformed header,
-    out-of-range literals, a clause missing its terminating 0, or a clause
-    count that disagrees with the header.
+    def __missing__(self, token: str) -> int:
+        lit = self[token] = int(token)
+        return lit
+
+
+def _parse_clause_lines(lines: list[str]) -> Formula | None:
+    """The common case of :func:`parse_dimacs`, checked in bulk.
+
+    Every clause line must hold one whole clause ending in its only 0.
+    Duplicates and tautologies are found per line by the number of distinct
+    variables, stray zeros once over the distinct literals, and literals out
+    of range by :class:`Formula`.  Returns None on anything else -- an error,
+    or an unusual but valid form such as a clause split across lines -- and
+    leaves the reporting to :func:`_parse_line_by_line`.
     """
+    num_vars = num_clauses = None
+    clauses: list[Clause] = []
+    append = clauses.append
+    varmap_parts: dict = {}
+    distinct = _Literals()
+    literal = distinct.__getitem__
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            lead = tokens[0][0]
+            if lead == "c":
+                _parse_comment(line.strip(), varmap_parts, line_no)
+            elif lead == "p":
+                if num_vars is not None:
+                    return None
+                num_vars, num_clauses = _parse_header(line.strip(), line_no)
+            elif num_vars is None or tokens.pop() != "0" or not tokens:
+                return None
+            else:
+                clause = tuple(map(literal, tokens))
+                if len(set(map(abs, clause))) != len(clause):
+                    return None
+                append(clause)
+        if num_vars is None or num_clauses != len(clauses) or 0 in distinct.values():
+            return None
+        return Formula(num_vars, clauses, varmap=_assemble_varmap(varmap_parts, num_vars, len(lines)))
+    except ValueError:  # a token int() rejects, a DimacsError or a CnfError
+        return None
+
+
+def _parse_line_by_line(lines: list[str]) -> Formula:
+    """Parse literal by literal, raising :class:`DimacsError` on the first
+    offending line."""
     num_vars = None
     num_clauses = None
     clauses: list[Clause] = []
     varmap_parts: dict = {}
     pending: list[int] = []
-    last_line = 0
+    last_line = len(lines)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("c"):
-            tokens = line[1:].split()
-            if tokens and tokens[0] in ("varmap", "target"):
-                _parse_varmap_comment(tokens, varmap_parts, line_no)
+            _parse_comment(line, varmap_parts, line_no)
             continue
         if line.startswith("p"):
             if num_vars is not None:
                 raise DimacsError(line_no, "duplicate header")
-            fields = line.split()
-            if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
-                raise DimacsError(line_no, f"malformed header: {line!r}")
-            try:
-                num_vars, num_clauses = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise DimacsError(line_no, f"malformed header: {line!r}")
+            num_vars, num_clauses = _parse_header(line, line_no)
             continue
         if num_vars is None:
             raise DimacsError(line_no, "clause before header")
@@ -219,7 +284,21 @@ def parse_dimacs(text: str) -> Formula:
             last_line,
             f"clause count mismatch: header says {num_clauses}, found {len(clauses)}",
         )
-    return Formula(num_vars, clauses, varmap=_assemble_varmap(varmap_parts))
+    return Formula(num_vars, clauses, varmap=_assemble_varmap(varmap_parts, num_vars, last_line))
+
+
+def parse_dimacs(text: str) -> Formula:
+    """Parse DIMACS text; varmap annotation comments are preserved.
+
+    Raises :class:`DimacsError` with a line number for a malformed or
+    negative header, out-of-range literals or varmap variables, a clause
+    missing its terminating 0, or a clause count that disagrees with the
+    header.  The usual one-clause-per-line text takes a bulk path; anything
+    else, errors included, is parsed literal by literal.
+    """
+    lines = text.splitlines()
+    formula = _parse_clause_lines(lines)
+    return formula if formula is not None else _parse_line_by_line(lines)
 
 
 def parse_solver_output(text: str) -> tuple[Status, Assignment | None]:
@@ -298,41 +377,63 @@ class SimplifyResult:
 
 
 def unit_propagate(formula: Formula) -> SimplifyResult:
-    """Propagate unit clauses to fixpoint."""
+    """Propagate unit clauses to fixpoint.
+
+    Visits clauses in the order of rounds of full scans, each scan seeing the
+    units found earlier in it, but visits only clauses a new unit touched:
+    after a unit found in clause ``i``, clause ``j`` of its variable is due
+    later in the same scan when ``j > i`` and in the next one otherwise.  So
+    a conflict stops at the same clause with the same units as a scan would.
+    Clauses no unit touched keep their tuple.
+    """
+    clauses = formula.clauses
     units: Assignment = {}
-    clauses = list(formula.clauses)
-    while True:
-        progress = False
-        remaining: list[Clause] = []
-        for clause in clauses:
-            kept = []
-            satisfied = False
+    # value[lit] is True/False once lit's variable is forced; a negative
+    # literal indexes from the end, so each literal has its own slot
+    value: list[bool | None] = [None] * (2 * formula.num_vars + 1)
+    out: list[Clause | None] = list(clauses)  # None once satisfied
+    occurs: list[list[int]] = [[] for _ in range(formula.num_vars + 1)]
+    for i, clause in enumerate(clauses):
+        for lit in clause:
+            occurs[abs(lit)].append(i)
+    due = [i for i, clause in enumerate(clauses) if len(clause) < 2]  # a heap, sorted
+    next_scan: list[int] = []
+    shortened: set[int] = set()
+    while due:
+        i = heappop(due)
+        clause = out[i]
+        if clause is not None:
+            free = []
             for lit in clause:
-                var = abs(lit)
-                if var in units:
-                    if units[var] == (lit > 0):
-                        satisfied = True
-                        break
+                if value[lit] is None:
+                    free.append(lit)
+                elif value[lit]:
+                    out[i] = None
+                    break
+            else:
+                if not free:
+                    return SimplifyResult(
+                        Formula(formula.num_vars, [], varmap=formula.varmap), units, conflict=True
+                    )
+                if len(free) > 1:
+                    shortened.add(i)
                 else:
-                    kept.append(lit)
-            if satisfied:
-                progress = True
-                continue
-            if not kept:
-                return SimplifyResult(
-                    Formula(formula.num_vars, [], varmap=formula.varmap), units, conflict=True
-                )
-            if len(kept) == 1:
-                lit = kept[0]
-                units[abs(lit)] = lit > 0
-                progress = True
-                continue
-            if len(kept) != len(clause):
-                progress = True
-            remaining.append(tuple(kept))
-        clauses = remaining
-        if not progress:
-            break
+                    lit = free[0]
+                    units[abs(lit)] = lit > 0
+                    value[lit], value[-lit] = True, False
+                    out[i] = None
+                    for j in occurs[abs(lit)]:
+                        if out[j] is not None:
+                            if j > i:
+                                heappush(due, j)
+                            else:
+                                next_scan.append(j)
+        if not due:
+            due, next_scan = sorted(set(next_scan)), []
+    for i in shortened:
+        if out[i] is not None:
+            out[i] = tuple([lit for lit in out[i] if value[lit] is None])
+    kept = [clause for clause in out if clause is not None]
     if formula.varmap is not None:
-        clauses += [(v if units[v] else -v,) for v in formula.varmap.all_vars() if v in units]
-    return SimplifyResult(Formula(formula.num_vars, clauses, varmap=formula.varmap), units)
+        kept += [(v if units[v] else -v,) for v in formula.varmap.all_vars() if v in units]
+    return SimplifyResult(Formula(formula.num_vars, kept, varmap=formula.varmap), units)

@@ -21,7 +21,7 @@ from satfactor.analysis import (
     per_bitlength_median,
     write_curve_csv,
 )
-from satfactor.cnf import Formula
+from satfactor.cnf import Formula, unit_propagate
 from satfactor.encoder import ALGORITHMS, encode, spec_for
 from satfactor.numtheory import gen_semiprime
 
@@ -70,7 +70,35 @@ class TestFitExponential:
         assert 0.0 <= fit.r2 <= 1.0
 
 
+def vig_edges_nested_loop(formula):
+    """Reference VIG edges: every pair of a clause's sorted variables, added
+    one by one."""
+    edges = set()
+    for clause in formula.clauses:
+        variables = sorted({abs(lit) for lit in clause})
+        for i, u in enumerate(variables):
+            for v in variables[i + 1:]:
+                edges.add((u, v))
+    return frozenset(edges)
+
+
 class TestBuildVig:
+    @pytest.mark.parametrize("simplified", [False, True])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("bits", [12, 16, 20, 24, 28, 32])
+    def test_same_edge_order_as_nested_loop(self, algorithm, bits, simplified):
+        # CNM's partition dict order follows the iteration order of the edges
+        s = gen_semiprime(bits, seed=bits)
+        formula, _ = encode(spec_for([s.value], algorithm, s.split))
+        if simplified:
+            formula = unit_propagate(formula).formula
+        assert list(build_vig(formula).edges) == list(vig_edges_nested_loop(formula))
+
+    def test_same_edge_order_on_multi_target_vig(self):
+        targets = [gen_semiprime(16, seed).value for seed in range(4)]
+        formula, _ = encode(spec_for(targets))
+        assert list(build_vig(formula).edges) == list(vig_edges_nested_loop(formula))
+
     def test_single_clause_triangle(self):
         g = build_vig(Formula(3, [(1, 2, 3)]))
         assert g.edges == frozenset({(1, 2), (1, 3), (2, 3)})

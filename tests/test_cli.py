@@ -112,6 +112,21 @@ class TestSolveCommand:
         assert code == EXIT_OK
         assert parse_solver_output(out) == (Status.UNSAT, None)
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("p cnf -1 0\n", 1),
+            ("c varmap p 1 1\np cnf 1 1\n1 0\n", 3),
+            ("c varmap p 0 99\np cnf 1 1\n1 0\n", 1),
+        ],
+    )
+    def test_bad_instance_reports_line(self, capsys, tmp_path, text, line_no):
+        path = tmp_path / "f.cnf"
+        path.write_text(text)
+        code, _, err = run(capsys, "solve", str(path))
+        assert code == EXIT_RUNTIME
+        assert err.startswith(f"error: line {line_no}: ")
+
 
 class TestFactor:
     def test_35(self, capsys):

@@ -7,8 +7,11 @@ from satfactor.cnf import (
     CnfError,
     DimacsError,
     Formula,
+    SimplifyResult,
     Status,
     VarMap,
+    _assemble_varmap,
+    _parse_comment,
     evaluate,
     make_clause,
     parse_dimacs,
@@ -16,6 +19,8 @@ from satfactor.cnf import (
     unit_propagate,
     write_dimacs,
 )
+from satfactor.encoder import ALGORITHMS, encode, spec_for
+from satfactor.numtheory import gen_semiprime
 
 # the NAND gate z = not (x and y): (x or z)(y or z)(-x or -y or -z)
 NAND = Formula(3, [(1, 3), (2, 3), (-1, -2, -3)])
@@ -70,6 +75,119 @@ class TestWriteDimacs:
         assert "c target 0 5" in text
 
 
+def parse_dimacs_reference(text):
+    """Reference parser: one token list per line, appended to a pending list
+    that is cut at every 0, each literal checked on its own."""
+    num_vars = None
+    num_clauses = None
+    clauses = []
+    varmap_parts = {}
+    pending = []
+    last_line = 0
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        last_line = line_no
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("c"):
+            _parse_comment(line, varmap_parts, line_no)
+            continue
+        if line.startswith("p"):
+            if num_vars is not None:
+                raise DimacsError(line_no, "duplicate header")
+            fields = line.split()
+            if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
+                raise DimacsError(line_no, f"malformed header: {line!r}")
+            try:
+                num_vars, num_clauses = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise DimacsError(line_no, f"malformed header: {line!r}")
+            continue
+        if num_vars is None:
+            raise DimacsError(line_no, "clause before header")
+        try:
+            tokens = [int(t) for t in line.split()]
+        except ValueError:
+            raise DimacsError(line_no, f"non-integer literal on line: {line!r}")
+        pending.extend(tokens)
+        while 0 in pending:
+            cut = pending.index(0)
+            lits = pending[:cut]
+            pending = pending[cut + 1:]
+            if any(abs(lit) > num_vars for lit in lits):
+                raise DimacsError(line_no, "variable out of range")
+            try:
+                clauses.append(make_clause(lits))
+            except CnfError as exc:
+                raise DimacsError(line_no, str(exc))
+
+    if num_vars is None:
+        raise DimacsError(last_line, "missing header")
+    if pending:
+        raise DimacsError(last_line, "missing terminating 0")
+    if num_clauses != len(clauses):
+        raise DimacsError(
+            last_line,
+            f"clause count mismatch: header says {num_clauses}, found {len(clauses)}",
+        )
+    return Formula(num_vars, clauses, varmap=_assemble_varmap(varmap_parts, num_vars, last_line))
+
+
+def parse_outcome(parse, text):
+    """The formula `parse` returns, or the line and message of its DimacsError."""
+    try:
+        return parse(text)
+    except DimacsError as exc:
+        return exc.line_no, str(exc)
+
+
+# (text, line number, message) for every class of malformed input
+MALFORMED = {
+    "duplicate literal": ("p cnf 2 1\n1 2 1 0\n", 2, "duplicate literal 1 in clause (1, 2, 1)"),
+    "tautology": ("p cnf 2 1\n1 -1 0\n", 2, "tautological clause (1, -1)"),
+    "empty clause": ("p cnf 1 2\n1 0\n0\n", 3, "empty clause"),
+    "empty clause mid-line": ("p cnf 1 2\n1 0 0\n", 2, "empty clause"),
+    "non-integer token": ("p cnf 2 1\n1 x 0\n", 2, "non-integer literal on line: '1 x 0'"),
+    "out-of-range literal": ("c hi\np cnf 1 1\n-2 0\n", 3, "variable out of range"),
+    "out-of-range split clause": ("p cnf 2 1\n1\n3 0\n", 3, "variable out of range"),
+    "missing terminating 0": ("p cnf 2 1\n1 -2\n", 2, "missing terminating 0"),
+    "count too high": ("p cnf 2 3\n1 0\n2 0\n\n", 4, "clause count mismatch: header says 3, found 2"),
+    "count too low": ("p cnf 2 1\n1 0\n2 0\n", 3, "clause count mismatch: header says 1, found 2"),
+    "clause before header": ("1 0\np cnf 1 1\n", 1, "clause before header"),
+    "duplicate header": ("p cnf 1 1\np cnf 1 1\n1 0\n", 2, "duplicate header"),
+    "malformed header": ("p dnf 2 1\n1 0\n", 1, "malformed header: 'p dnf 2 1'"),
+    "header count not an integer": ("p cnf 2 one\n1 0\n", 1, "malformed header: 'p cnf 2 one'"),
+    "missing header": ("c only\n\n", 2, "missing header"),
+    "bad varmap annotation": ("c varmap r 0 1\np cnf 1 1\n1 0\n", 1, "bad varmap annotation: varmap r 0 1"),
+    "negative variable count": ("p cnf -1 0\n", 1, "negative count in header: 'p cnf -1 0'"),
+    "negative clause count": ("p cnf 1 -1\n", 1, "negative count in header: 'p cnf 1 -1'"),
+    "varmap variable out of range": (
+        "c varmap p 0 99\np cnf 1 1\n1 0\n", 1, "varmap p variable 99 out of range for 1 variables",
+    ),
+    "varmap variable zero": (
+        "c varmap q 0 1\nc varmap q 1 0\np cnf 1 1\n1 0\n", 2,
+        "varmap q variable 0 out of range for 1 variables",
+    ),
+    "varmap index gap": ("c varmap p 1 1\np cnf 1 1\n1 0\n", 3, "varmap p indices are not contiguous from 0"),
+}
+
+# the odd forms that parse: (text, formula)
+ACCEPTED = {
+    "crlf line ends": ("p cnf 2 2\r\n1 -2 0\r\n2 0\r\n", Formula(2, [(1, -2), (2,)])),
+    "two clauses on one line": ("p cnf 2 2\n1 0 -2 0\n", Formula(2, [(1,), (-2,)])),
+    "clause split around a comment": ("p cnf 3 1\n1 2\nc note 0\n3 0\n", Formula(3, [(1, 2, 3)])),
+    "blank lines": ("\np cnf 1 1\n\n  \n1 0\n\n", Formula(1, [(1,)])),
+    "explicit plus sign": ("p cnf 2 1\n+1 -2 0\n", Formula(2, [(1, -2)])),
+    "tabs and padding": ("\tp cnf 2 1 \n  -2\t1   0  \n", Formula(2, [(-2, 1)])),
+    "no trailing newline": ("p cnf 1 1\n-1 0", Formula(1, [(-1,)])),
+    "clause ending in -0": ("p cnf 1 1\n1 -0\n", Formula(1, [(1,)])),
+    "varmap after the clauses": (
+        "p cnf 2 1\n1 2 0\nc varmap p 0 2\n", Formula(2, [(1, 2)], varmap=VarMap(p_bits=[2])),
+    ),
+}
+
+
 class TestParseDimacs:
     def test_basic(self):
         f = parse_dimacs("p cnf 2 1\n1 -2 0\n")
@@ -110,6 +228,19 @@ class TestParseDimacs:
         f = Formula(6, [(1, -3), (2, 4, 6)], varmap=vm)
         assert parse_dimacs(write_dimacs(f)) == f
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_message(self, case):
+        text, line_no, message = MALFORMED[case]
+        with pytest.raises(DimacsError) as exc:
+            parse_dimacs(text)
+        assert exc.value.line_no == line_no
+        assert str(exc.value) == f"line {line_no}: {message}"
+
+    @pytest.mark.parametrize("case", sorted(ACCEPTED))
+    def test_accepted_odd_form(self, case):
+        text, formula = ACCEPTED[case]
+        assert parse_dimacs(text) == formula == parse_dimacs_reference(text)
+
 
 def lits(num_vars):
     return st.integers(min_value=1, max_value=num_vars).flatmap(
@@ -139,6 +270,64 @@ def formulas(draw):
 @given(formulas())
 def test_dimacs_round_trip_property(formula):
     assert parse_dimacs(write_dimacs(formula)) == formula
+
+
+WITHIN_LINE = [" ", " ", " ", "  ", "\t", " \t "]
+LINE_BREAKS = ["\n", "\n", "\r\n", " \n", "\n\n", "\nc comment 0\n", "\n  \n"]
+
+
+@st.composite
+def dimacs_texts(draw):
+    """A formula, maybe with a varmap, and DIMACS text for it with extra
+    whitespace, blank lines, comments and plus signs; half the texts also
+    break lines inside clauses and join clauses on one line."""
+    formula = draw(formulas())
+    n = formula.num_vars
+    if draw(st.booleans()):
+        bits = st.lists(st.integers(min_value=1, max_value=n), max_size=3)
+        formula.varmap = VarMap(
+            p_bits=draw(bits.filter(bool)), q_bits=draw(bits), out_bits=draw(bits), sel_vars=draw(bits),
+            targets=draw(st.lists(st.integers(min_value=0, max_value=999), max_size=2)),
+        )
+    plus = draw(st.booleans())
+    anywhere = st.sampled_from(WITHIN_LINE + LINE_BREAKS) if draw(st.booleans()) else None
+    parts = []
+    if formula.varmap is not None:
+        parts += [line + "\n" for line in formula.varmap.comment_lines()]
+    parts += draw(st.sampled_from(["", "c lead\n", "\n"]))
+    parts.append(f"p cnf {n} {len(formula.clauses)}\n")
+    for clause in formula.clauses:
+        for lit in clause:
+            token = f"+{lit}" if plus and lit > 0 and draw(st.booleans()) else str(lit)
+            parts.append(token + draw(anywhere or st.sampled_from(WITHIN_LINE)))
+        parts.append("0" + draw(anywhere or st.sampled_from(LINE_BREAKS)))
+    return formula, "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dimacs_texts())
+def test_parse_matches_reference_on_reformatted_text(case):
+    formula, text = case
+    assert parse_dimacs(text) == formula == parse_dimacs_reference(text)
+
+
+MUTATIONS = ["x", "0", "00", "-0", "+0", "99", "-99", "", "0 0", "1 -1", "c", "p cnf 1 1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dimacs_texts(), st.data())
+def test_parse_matches_reference_on_corrupted_text(case, data):
+    """A token replaced or dropped: the same formula or the same error, with
+    its line number, as the reference."""
+    _, text = case
+    words = text.split(" ")
+    i = data.draw(st.integers(min_value=0, max_value=len(words) - 1))
+    words[i] = data.draw(st.sampled_from(MUTATIONS))
+    corrupted = " ".join(words)
+    outcome = parse_outcome(parse_dimacs, corrupted)
+    if isinstance(outcome, tuple) and "negative count in header" in outcome[1]:
+        return  # a check the reference does not make
+    assert outcome == parse_outcome(parse_dimacs_reference, corrupted)
 
 
 class TestParseSolverOutput:
@@ -186,6 +375,87 @@ class TestEvaluate:
             evaluate(NAND, {1: True, 2: False})
 
 
+def unit_propagate_rounds(formula):
+    """Reference propagation: rescans every clause, in order, until a round
+    changes nothing; a unit found in a round applies to the rest of it."""
+    units = {}
+    clauses = list(formula.clauses)
+    while True:
+        progress = False
+        remaining = []
+        for clause in clauses:
+            kept = []
+            satisfied = False
+            for lit in clause:
+                var = abs(lit)
+                if var in units:
+                    if units[var] == (lit > 0):
+                        satisfied = True
+                        break
+                else:
+                    kept.append(lit)
+            if satisfied:
+                progress = True
+                continue
+            if not kept:
+                return SimplifyResult(
+                    Formula(formula.num_vars, [], varmap=formula.varmap), units, conflict=True
+                )
+            if len(kept) == 1:
+                lit = kept[0]
+                units[abs(lit)] = lit > 0
+                progress = True
+                continue
+            if len(kept) != len(clause):
+                progress = True
+            remaining.append(tuple(kept))
+        clauses = remaining
+        if not progress:
+            break
+    if formula.varmap is not None:
+        clauses += [(v if units[v] else -v,) for v in formula.varmap.all_vars() if v in units]
+    return SimplifyResult(Formula(formula.num_vars, clauses, varmap=formula.varmap), units)
+
+
+def assert_same_as_rounds(formula):
+    expected = unit_propagate_rounds(formula)
+    result = unit_propagate(formula)
+    assert result.conflict == expected.conflict
+    assert result.units == expected.units
+    assert result.formula.clauses == expected.formula.clauses
+    assert result.formula.varmap is formula.varmap
+
+
+@st.composite
+def unit_heavy_formulas(draw):
+    """Short clauses over few variables, so propagation runs long chains and
+    often conflicts; literals may repeat within a clause."""
+    num_vars = draw(st.integers(min_value=1, max_value=10))
+    clause = st.lists(lits(num_vars), min_size=1, max_size=3).map(tuple)
+    return Formula(num_vars, draw(st.lists(clause, max_size=30)))
+
+
+def encoder_instance(algorithm, bits, n_targets):
+    """The encoded instance for `n_targets` distinct semi-primes of `bits` bits."""
+    targets = {}
+    seed = bits
+    while len(targets) < n_targets:
+        s = gen_semiprime(bits, seed)
+        targets.setdefault(s.value, s)
+        seed += 1
+    if n_targets == 1:
+        (s,) = targets.values()
+        return encode(spec_for([s.value], algorithm, s.split))[0]
+    return encode(spec_for(list(targets)))[0]
+
+
+# 4-target instances start at 12 bits: 8 bits have only three balanced semi-primes
+ENCODER_CASES = [
+    *((alg, bits, 1) for alg in ALGORITHMS for bits in (8, 16, 24, 32, 48, 64)),
+    *(("schoolbook", bits, 4) for bits in (12, 16, 24, 32, 48, 64)),
+]
+
+
 class TestUnitPropagate:
     def test_chain(self):
         f = Formula(2, [(1,), (-1, 2)])
@@ -210,6 +480,37 @@ class TestUnitPropagate:
         assert result.units == {3: True}
         assert result.formula.clauses == [(5, 4)]
         assert result.formula.num_vars == 5
+
+    def test_untouched_clauses_keep_their_tuple(self):
+        f = Formula(5, [(1, 2), (-3,), (3, 4, 5), (-4, -5)])
+        result = unit_propagate(f)
+        assert result.formula.clauses == [(1, 2), (4, 5), (-4, -5)]
+        assert result.formula.clauses[0] is f.clauses[0]
+        assert result.formula.clauses[2] is f.clauses[3]
+
+    def test_conflict_units_are_those_of_the_scan(self):
+        # the scan finds 1 in clause 0, 2 in clause 1, then clause 2 (-1 -2)
+        # is false before clause 3 (3) is reached
+        result = unit_propagate(Formula(3, [(1,), (-1, 2), (-1, -2), (3,)]))
+        assert result.conflict
+        assert result.units == {1: True, 2: True}
+
+    def test_unit_found_late_waits_for_the_next_scan(self):
+        # the first scan forces 2 in clause 2 and 4 in clause 3; clause 0
+        # sees 2 only in the second scan, forces 3, and clause 1 is false
+        result = unit_propagate(Formula(4, [(-2, 3), (-3, -2), (2,), (4,)]))
+        assert result.conflict
+        assert result.units == {2: True, 4: True, 3: True}
+
+    @pytest.mark.parametrize("algorithm, bits, n_targets", ENCODER_CASES)
+    def test_same_as_rounds_on_encoder_instances(self, algorithm, bits, n_targets):
+        assert_same_as_rounds(encoder_instance(algorithm, bits, n_targets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(formulas(), unit_heavy_formulas()))
+def test_unit_propagation_same_as_rounds(formula):
+    assert_same_as_rounds(formula)
 
 
 @settings(max_examples=100, deadline=None)
