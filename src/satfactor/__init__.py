@@ -2,7 +2,7 @@
 solver, an experiment harness, and cost-extrapolation analysis."""
 
 from .cnf import Formula, Status, VarMap, parse_dimacs, write_dimacs
-from .encoder import EncodeSpec, count_stats, decode, encode
+from .encoder import EncodeSpec, decode, encode
 from .numtheory import Semiprime, gen_semiprime, is_prime, metrics, trial_division
 from .solver import SolveResult, SolverConfig, solve, solve_external
 
@@ -16,7 +16,6 @@ __all__ = [
     "SolverConfig",
     "Status",
     "VarMap",
-    "count_stats",
     "decode",
     "encode",
     "gen_semiprime",

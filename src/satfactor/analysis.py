@@ -15,10 +15,9 @@ import csv
 import itertools
 import logging
 import math
+import statistics
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-
-import numpy as np
 
 from .cnf import Formula
 
@@ -55,17 +54,17 @@ def fit_exponential(points: list[tuple[int, float]]) -> FitResult:
     for _, t in points:
         if t <= 0:
             raise ValueError(f"non-positive time {t}")
-    x = np.array([float(n) for n, _ in points])
-    y = np.log2([t for _, t in points])
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    ss_res = float(np.sum((y - predicted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    x = [float(n) for n, _ in points]
+    y = [math.log2(t) for _, t in points]
+    slope, intercept = statistics.linear_regression(x, y)
+    ss_res = math.fsum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
+    y_mean = statistics.fmean(y)
+    ss_tot = math.fsum((yi - y_mean) ** 2 for yi in y)
     if ss_tot == 0.0:
         r2 = 0.0
     else:
         r2 = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
-    return FitResult(float(slope), float(intercept), r2)
+    return FitResult(slope, intercept, r2)
 
 
 @dataclass(frozen=True)
@@ -199,48 +198,16 @@ def cnm_communities(graph: Graph) -> CommunityResult:
     return CommunityResult(partition, modularity(graph, partition))
 
 
-def best_partition_exhaustive(graph: Graph) -> CommunityResult:
-    """Exact maximum-modularity partition by enumerating all partitions.
-
-    Only feasible for small vertex counts; used as a test oracle.
-    """
-    if not graph.edges:
-        raise ValueError("modularity undefined on an empty edge set")
-    vertices = list(range(1, graph.num_vertices + 1))
-
-    def partitions(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for smaller in partitions(rest):
-            for k, subset in enumerate(smaller):
-                yield smaller[:k] + [[first] + subset] + smaller[k + 1:]
-            yield [[first]] + smaller
-
-    best_q = -math.inf
-    best_partition = None
-    for blocks in partitions(vertices):
-        part = {v: idx for idx, block in enumerate(blocks) for v in block}
-        q = modularity(graph, part)
-        if q > best_q:
-            best_q = q
-            best_partition = part
-    return CommunityResult(best_partition, best_q)
-
-
-def _ranks(values) -> np.ndarray:
+def _ranks(values: list[float]) -> list[float]:
     """Average ranks, for the rank-based correlation variant."""
-    arr = np.asarray(values, dtype=float)
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(len(arr), dtype=float)
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    for _, group in itertools.groupby(order, key=values.__getitem__):
+        tied = list(group)
+        for k in tied:
+            ranks[k] = start + (len(tied) + 1) / 2.0
+        start += len(tied)
     return ranks
 
 
@@ -250,15 +217,15 @@ def correlate(metric_values, times, method: str = "pearson") -> float:
         raise ValueError("length mismatch")
     if len(times) < 3:
         raise ValueError("need at least 3 observations")
-    x = np.asarray(metric_values, dtype=float)
-    y = np.asarray(times, dtype=float)
+    x = [float(v) for v in metric_values]
+    y = [float(t) for t in times]
     if method == "spearman":
         x, y = _ranks(x), _ranks(y)
     elif method != "pearson":
         raise ValueError(f"unknown method {method!r}")
-    if np.all(x == x[0]) or np.all(y == y[0]):
+    if len(set(x)) == 1 or len(set(y)) == 1:
         raise ValueError("zero variance")
-    r = float(np.corrcoef(x, y)[0, 1])
+    r = statistics.correlation(x, y)
     return max(-1.0, min(1.0, r))
 
 

@@ -91,20 +91,28 @@ class VarMap:
 
 @dataclass
 class Formula:
-    """A CNF formula: variable count, clause list, optional decode map."""
+    """A CNF formula: variable count, clause list, optional decode map.
+
+    Construction rejects an empty clause, a literal 0 and a literal whose
+    variable exceeds ``num_vars``.
+    """
 
     num_vars: int
     clauses: list[Clause]
     varmap: VarMap | None = None
 
     def __post_init__(self):
-        if self.num_vars < 0:
+        num_vars = self.num_vars
+        if num_vars < 0:
             raise CnfError("negative variable count")
         for clause in self.clauses:
+            if not clause:
+                raise CnfError("empty clause")
             for lit in clause:
-                if abs(lit) > self.num_vars:
+                if not 0 < abs(lit) <= num_vars:
                     raise CnfError(
-                        f"literal {lit} out of range for {self.num_vars} variables"
+                        f"literal 0 in clause {clause}" if lit == 0
+                        else f"literal {lit} out of range for {num_vars} variables"
                     )
 
 
@@ -136,7 +144,8 @@ def _parse_header(line: str, line_no: int) -> tuple[int, int]:
 def _parse_comment(line: str, varmaps: dict, line_no: int) -> None:
     """Record a ``c varmap <name> <idx> <var>`` or ``c target <idx> <value>``
     annotation of a stripped comment line, with its line number; other
-    comments are dropped."""
+    comments are dropped.  A second annotation of the same name and index
+    is an error."""
     tokens = line[1:].split()
     if not tokens:
         return
@@ -144,10 +153,10 @@ def _parse_comment(line: str, varmaps: dict, line_no: int) -> None:
         if len(tokens) != 4 or tokens[1] not in ("p", "q", "out", "sel"):
             raise DimacsError(line_no, f"bad varmap annotation: {' '.join(tokens)}")
         try:
-            idx, var = int(tokens[2]), int(tokens[3])
+            idx, value = int(tokens[2]), int(tokens[3])
         except ValueError:
             raise DimacsError(line_no, f"non-integer varmap annotation: {' '.join(tokens)}")
-        varmaps.setdefault(tokens[1], {})[idx] = (var, line_no)
+        name = tokens[1]
     elif tokens[0] == "target":
         if len(tokens) != 3:
             raise DimacsError(line_no, f"bad target annotation: {' '.join(tokens)}")
@@ -155,7 +164,13 @@ def _parse_comment(line: str, varmaps: dict, line_no: int) -> None:
             idx, value = int(tokens[1]), int(tokens[2])
         except ValueError:
             raise DimacsError(line_no, f"non-integer target annotation: {' '.join(tokens)}")
-        varmaps.setdefault("target", {})[idx] = (value, line_no)
+        name = "target"
+    else:
+        return
+    entries = varmaps.setdefault(name, {})
+    if idx in entries:
+        raise DimacsError(line_no, f"repeated {tokens[0]} annotation: {' '.join(tokens)}")
+    entries[idx] = (value, line_no)
 
 
 def _assemble_varmap(parts: dict, num_vars: int, last_line: int) -> VarMap | None:
@@ -198,17 +213,16 @@ def _parse_clause_lines(lines: list[str]) -> Formula | None:
 
     Every clause line must hold one whole clause ending in its only 0.
     Duplicates and tautologies are found per line by the number of distinct
-    variables, stray zeros once over the distinct literals, and literals out
-    of range by :class:`Formula`.  Returns None on anything else -- an error,
-    or an unusual but valid form such as a clause split across lines -- and
-    leaves the reporting to :func:`_parse_line_by_line`.
+    variables, stray zeros and literals out of range by :class:`Formula`.
+    Returns None on anything else -- an error, or an unusual but valid form
+    such as a clause split across lines -- and leaves the reporting to
+    :func:`_parse_line_by_line`.
     """
     num_vars = num_clauses = None
     clauses: list[Clause] = []
     append = clauses.append
     varmap_parts: dict = {}
-    distinct = _Literals()
-    literal = distinct.__getitem__
+    literal = _Literals().__getitem__
     try:
         for line_no, line in enumerate(lines, start=1):
             tokens = line.split()
@@ -228,7 +242,7 @@ def _parse_clause_lines(lines: list[str]) -> Formula | None:
                 if len(set(map(abs, clause))) != len(clause):
                     return None
                 append(clause)
-        if num_vars is None or num_clauses != len(clauses) or 0 in distinct.values():
+        if num_vars is None or num_clauses != len(clauses):
             return None
         return Formula(num_vars, clauses, varmap=_assemble_varmap(varmap_parts, num_vars, len(lines)))
     except ValueError:  # a token int() rejects, a DimacsError or a CnfError

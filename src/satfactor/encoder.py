@@ -555,28 +555,3 @@ def decode(varmap: VarMap, assignment: Assignment) -> tuple[int, int, int]:
         raise DecodeError(f"model has {len(true_sels)} true selectors, expected 1")
     return p, q, true_sels[0]
 
-
-@dataclass
-class FormulaStats:
-    vars: int
-    clauses: int
-    avg_literals: float
-
-
-def count_stats(formula: Formula) -> FormulaStats:
-    total_lits = sum(len(c) for c in formula.clauses)
-    n_clauses = len(formula.clauses)
-    return FormulaStats(
-        vars=formula.num_vars,
-        clauses=n_clauses,
-        avg_literals=total_lits / n_clauses if n_clauses else 0.0,
-    )
-
-
-def schoolbook_size_model(n_bits: int) -> tuple[float, float]:
-    """Size model for the schoolbook encoder, from regression on generated
-    instances: variables 0.750 n^2 + 0.496 n - 2.05, clauses
-    4.25 n^2 - 4.01 n - 9.87.
-    """
-    n = n_bits
-    return 0.750 * n * n + 0.496 * n - 2.05, 4.25 * n * n - 4.01 * n - 9.87

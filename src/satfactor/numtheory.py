@@ -208,14 +208,6 @@ def metrics(s: Semiprime) -> MetricVector:
 SEMIPRIME_CSV_HEADER = ["n_bits", "N", "p", "q"]
 
 
-def save_semiprimes_csv(semiprimes: list[Semiprime], path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SEMIPRIME_CSV_HEADER)
-        for s in semiprimes:
-            writer.writerow([s.n_bits, s.value, s.p, s.q])
-
-
 def load_semiprimes_csv(path) -> list[Semiprime]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)

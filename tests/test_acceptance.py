@@ -16,16 +16,11 @@ from satfactor import analysis
 from satfactor.bench import ExperimentPlan, aggregate, run_experiment
 from satfactor.cli import correlation_table
 from satfactor.cnf import Formula, Status, evaluate
-from satfactor.encoder import (
-    count_stats,
-    decode,
-    encode,
-    encode_schoolbook,
-    schoolbook_size_model,
-    spec_for,
-)
+from satfactor.encoder import decode, encode, encode_schoolbook, spec_for
 from satfactor.numtheory import gen_semiprime, is_prime
 from satfactor.solver import SolverConfig, solve
+
+from oracles import best_partition_exhaustive, schoolbook_size_model
 
 pytestmark = pytest.mark.slow
 
@@ -83,11 +78,13 @@ def test_criterion_1_encoder_size_scaling():
     with criterion(1, "encoder size scaling"):
         for n in (32, 64, 128):
             s = gen_semiprime(n, seed=n)
-            stats = count_stats(encode_schoolbook(spec_for([s.value], split=s.split))[0])
+            formula = encode_schoolbook(spec_for([s.value], split=s.split))[0]
+            n_vars, n_clauses = formula.num_vars, len(formula.clauses)
+            avg_literals = sum(map(len, formula.clauses)) / n_clauses
             model_vars, model_clauses = schoolbook_size_model(n)
-            assert abs(stats.vars - model_vars) <= 0.15 * model_vars, (n, stats.vars)
-            assert abs(stats.clauses - model_clauses) <= 0.15 * model_clauses, (n, stats.clauses)
-            assert 3.1 <= stats.avg_literals <= 3.5, (n, stats.avg_literals)
+            assert abs(n_vars - model_vars) <= 0.15 * model_vars, (n, n_vars)
+            assert abs(n_clauses - model_clauses) <= 0.15 * model_clauses, (n, n_clauses)
+            assert 3.1 <= avg_literals <= 3.5, (n, avg_literals)
 
 
 def test_criterion_2_end_to_end_correctness():
@@ -230,7 +227,7 @@ def test_criterion_9_modularity_correctness():
             checked += 1
             graph = analysis.Graph(num_vertices, edges)
             greedy = analysis.cnm_communities(graph)
-            exact = analysis.best_partition_exhaustive(graph)
+            exact = best_partition_exhaustive(graph)
             assert greedy.q <= exact.q + 1e-12
             assert greedy.q == analysis.modularity(graph, greedy.partition)
 
@@ -242,7 +239,7 @@ def test_criterion_9_modularity_correctness():
                 start += size
             graph = analysis.Graph(start - 1, frozenset(edges))
             greedy = analysis.cnm_communities(graph)
-            exact = analysis.best_partition_exhaustive(graph)
+            exact = best_partition_exhaustive(graph)
             assert greedy.q == pytest.approx(exact.q, abs=1e-12)
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from satfactor.analysis import (
@@ -10,7 +11,7 @@ from satfactor.analysis import (
     CommunityResult,
     FitResult,
     Graph,
-    best_partition_exhaustive,
+    _ranks,
     build_vig,
     cnm_communities,
     correlate,
@@ -25,6 +26,8 @@ from satfactor.cnf import Formula, unit_propagate
 from satfactor.encoder import ALGORITHMS, encode, spec_for
 from satfactor.numtheory import gen_semiprime
 
+from oracles import best_partition_exhaustive
+
 
 def graph(num_vertices, edge_list):
     return Graph(num_vertices, frozenset(tuple(sorted(e)) for e in edge_list))
@@ -32,6 +35,37 @@ def graph(num_vertices, edge_list):
 
 TRIANGLES = graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
 K4 = graph(4, list(itertools.combinations(range(1, 5), 2)))
+
+
+def fit_numpy(points):
+    """Reference fit: the numpy least squares that fit_exponential replaced."""
+    x = np.array([float(n) for n, _ in points])
+    y = np.log2([t for _, t in points])
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 0.0 if ss_tot == 0.0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
+    return float(slope), float(intercept), r2
+
+
+def random_points(rng):
+    """Distinct sorted bitlengths with noisy exponential times."""
+    bits = sorted(rng.sample(range(4, 200), rng.randint(3, 30)))
+    slope, intercept = rng.uniform(-0.2, 1.5), rng.uniform(-30.0, 10.0)
+    noise = rng.choice([0.0, 0.1, 1.0, 8.0])
+    return [(n, 2.0 ** (slope * n + intercept + rng.gauss(0.0, noise))) for n in bits]
+
+
+class TestFitAgainstNumpy:
+    def test_random_point_sets(self):
+        rng = random.Random(41)
+        for _ in range(500):
+            points = random_points(rng)
+            fit = fit_exponential(points)
+            slope, intercept, r2 = fit_numpy(points)
+            assert fit.slope == pytest.approx(slope, rel=0, abs=1e-12)
+            assert fit.intercept == pytest.approx(intercept, rel=0, abs=1e-12)
+            assert fit.r2 == pytest.approx(r2, rel=0, abs=1e-12)
 
 
 class TestFitExponential:
@@ -302,6 +336,65 @@ class TestCnmCommunities:
     def test_empty_edges_error(self):
         with pytest.raises(ValueError):
             cnm_communities(graph(3, []))
+
+
+def ranks_numpy(values):
+    """Reference average ranks: the numpy code that _ranks replaced."""
+    arr = np.asarray(values, dtype=float)
+    order = np.argsort(arr, kind="stable")
+    ranks = np.empty(len(arr), dtype=float)
+    i = 0
+    while i < len(arr):
+        j = i
+        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def correlate_numpy(xs, ys, method):
+    """Reference correlation: np.corrcoef, of numpy ranks for Spearman;
+    None where the old code raised for zero variance."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if method == "spearman":
+        x, y = ranks_numpy(x), ranks_numpy(y)
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return None
+    return max(-1.0, min(1.0, float(np.corrcoef(x, y)[0, 1])))
+
+
+def random_samples(rng, size):
+    """Floats over a few magnitudes, or small integers with many ties."""
+    if rng.random() < 0.5:
+        scale = 10.0 ** rng.randint(-6, 6)
+        return [rng.uniform(-1.0, 1.0) * scale for _ in range(size)]
+    top = rng.randint(1, 6)
+    return [float(rng.randint(0, top)) for _ in range(size)]
+
+
+class TestCorrelateAgainstNumpy:
+    def test_ranks_identical_with_ties(self):
+        rng = random.Random(42)
+        for _ in range(300):
+            values = random_samples(rng, rng.randint(1, 40))
+            assert _ranks(values) == list(ranks_numpy(values))
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman"])
+    def test_random_samples(self, method):
+        rng = random.Random(43)
+        compared = 0
+        for _ in range(1000):
+            size = rng.randint(3, 40)
+            xs, ys = random_samples(rng, size), random_samples(rng, size)
+            expected = correlate_numpy(xs, ys, method)
+            if expected is None:
+                with pytest.raises(ValueError, match="zero variance"):
+                    correlate(xs, ys, method=method)
+                continue
+            compared += 1
+            assert correlate(xs, ys, method=method) == pytest.approx(expected, rel=0, abs=1e-12)
+        assert compared > 900
 
 
 class TestCorrelate:

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import satfactor
 from satfactor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_UNKNOWN, EXIT_USAGE, main
 from satfactor.cnf import parse_dimacs, parse_solver_output, Status
-from satfactor.encoder import count_stats, decode
+from satfactor.encoder import decode
 
 EXTERNAL = f"{sys.executable} -m satfactor.cli solve"
 
@@ -51,10 +55,9 @@ class TestEncode:
         code, out, _ = run(capsys, "encode", "--n", "35")
         assert code == EXIT_OK
         formula = parse_dimacs(out)
-        stats = count_stats(formula)
         header = next(line for line in out.splitlines() if line.startswith("p cnf"))
         _, _, nv, nc = header.split()
-        assert (int(nv), int(nc)) == (stats.vars, stats.clauses)
+        assert (int(nv), int(nc)) == (formula.num_vars, len(formula.clauses))
 
     def test_targets_file(self, capsys, tmp_path):
         path = tmp_path / "targets.csv"
@@ -69,14 +72,12 @@ class TestEncode:
     def test_division_larger(self, capsys):
         _, school, _ = run(capsys, "encode", "--n", "35", "--alg", "schoolbook")
         _, division, _ = run(capsys, "encode", "--n", "35", "--alg", "division")
-        school_stats = count_stats(parse_dimacs(school))
-        division_stats = count_stats(parse_dimacs(division))
-        assert division_stats.clauses > school_stats.clauses
+        assert len(parse_dimacs(division).clauses) > len(parse_dimacs(school).clauses)
 
     def test_fold_constants_shrinks(self, capsys):
         _, raw, _ = run(capsys, "encode", "--n", "35")
         _, folded, _ = run(capsys, "encode", "--n", "35", "--fold-constants")
-        assert count_stats(parse_dimacs(folded)).clauses < count_stats(parse_dimacs(raw)).clauses
+        assert len(parse_dimacs(folded).clauses) < len(parse_dimacs(raw).clauses)
 
     def test_fold_constants_still_decodes(self, capsys, tmp_path):
         path = tmp_path / "folded.cnf"
@@ -249,6 +250,45 @@ class TestBenchAnalyzeEstimate:
         code, _, err = run(capsys, "analyze", "fit", "/nonexistent.csv")
         assert code == 2
         assert "error" in err
+
+
+# Blocks numpy, imports every satfactor module, then benches a small dataset
+# and analyzes it; prints the exit codes.
+WITHOUT_NUMPY = """
+import importlib, json, pkgutil, sys
+sys.modules["numpy"] = None
+import satfactor
+for module in pkgutil.iter_modules(satfactor.__path__):
+    importlib.import_module("satfactor." + module.name)
+from satfactor.cli import main
+dataset = sys.argv[1]
+codes = [
+    main(["bench", "--bits", "10:14:2", "--per-n", "4", "--seeds", "2", "--seed", "3", "--out", dataset]),
+    main(["analyze", "fit", dataset, "--out", dataset + ".fit.json"]),
+    main(["analyze", "correlate", dataset, "--out", dataset + ".pearson.json"]),
+    main(["analyze", "correlate", dataset, "--method", "spearman", "--out", dataset + ".spearman.json"]),
+]
+print(json.dumps(codes))
+"""
+
+
+class TestWithoutNumpy:
+    def test_bench_and_analyze(self, tmp_path):
+        pythonpath = [str(Path(satfactor.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+        dataset = tmp_path / "results.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", WITHOUT_NUMPY, str(dataset)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK] * 4
+        fit = json.loads((tmp_path / "results.csv.fit.json").read_text())
+        assert 0.0 <= fit["r2"] <= 1.0
+        for method in ("pearson", "spearman"):
+            report = json.loads((tmp_path / f"results.csv.{method}.json").read_text())
+            assert report["method"] == method
+            assert len(report["metrics"]) == 8
 
 
 class TestUsage:

@@ -21,6 +21,7 @@ from satfactor.cnf import (
 )
 from satfactor.encoder import ALGORITHMS, encode, spec_for
 from satfactor.numtheory import gen_semiprime
+from satfactor.solver import solve
 
 # the NAND gate z = not (x and y): (x or z)(y or z)(-x or -y or -z)
 NAND = Formula(3, [(1, 3), (2, 3), (-1, -2, -3)])
@@ -54,6 +55,16 @@ class TestFormula:
 
     def test_empty_formula(self):
         assert Formula(0, []).clauses == []
+
+    def test_empty_clause_rejected(self):
+        # the solver cannot watch an empty clause
+        with pytest.raises(CnfError, match="empty clause"):
+            solve(Formula(1, [()]))
+
+    def test_zero_literal_rejected(self):
+        # DIMACS would read the 0 as the end of the clause
+        with pytest.raises(CnfError, match=r"literal 0 in clause \(0, 1\)"):
+            write_dimacs(Formula(2, [(0, 1), (2,)]))
 
 
 class TestWriteDimacs:
@@ -170,6 +181,13 @@ MALFORMED = {
         "varmap q variable 0 out of range for 1 variables",
     ),
     "varmap index gap": ("c varmap p 1 1\np cnf 1 1\n1 0\n", 3, "varmap p indices are not contiguous from 0"),
+    "repeated varmap annotation": (
+        "c varmap p 0 1\nc varmap q 0 2\nc varmap p 0 2\np cnf 2 1\n1 0\n", 3,
+        "repeated varmap annotation: varmap p 0 2",
+    ),
+    "repeated target annotation": (
+        "p cnf 1 1\nc target 0 143\n1 0\nc target 0 35\n", 4, "repeated target annotation: target 0 35",
+    ),
 }
 
 # the odd forms that parse: (text, formula)
@@ -299,8 +317,8 @@ def dimacs_texts(draw):
     for clause in formula.clauses:
         for lit in clause:
             token = f"+{lit}" if plus and lit > 0 and draw(st.booleans()) else str(lit)
-            parts.append(token + draw(anywhere or st.sampled_from(WITHIN_LINE)))
-        parts.append("0" + draw(anywhere or st.sampled_from(LINE_BREAKS)))
+            parts.append(token + draw(anywhere if anywhere is not None else st.sampled_from(WITHIN_LINE)))
+        parts.append("0" + draw(anywhere if anywhere is not None else st.sampled_from(LINE_BREAKS)))
     return formula, "".join(parts)
 
 

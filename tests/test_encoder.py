@@ -11,20 +11,18 @@ from satfactor.encoder import (
     DecodeError,
     EncodeError,
     EncodeSpec,
-    count_stats,
     decode,
     encode,
     encode_division,
     encode_karatsuba,
     encode_multi_target,
     encode_schoolbook,
-    schoolbook_size_model,
     spec_for,
 )
 from satfactor.numtheory import gen_semiprime
 from satfactor.solver import SolverConfig, solve
 
-NAND = Formula(3, [(1, 3), (2, 3), (-1, -2, -3)])
+from oracles import schoolbook_size_model
 
 
 def forced_outputs(builder, input_vars, input_bits, output_vars):
@@ -155,11 +153,12 @@ class TestSchoolbook:
                 n_bits=n, targets=[s.value],
                 factor_split=(s.p.bit_length(), s.q.bit_length()),
             )
-            stats = count_stats(encode_schoolbook(spec)[0])
+            formula = encode_schoolbook(spec)[0]
+            n_clauses = len(formula.clauses)
             model_vars, model_clauses = schoolbook_size_model(n)
-            assert abs(stats.vars - model_vars) <= 0.15 * model_vars
-            assert abs(stats.clauses - model_clauses) <= 0.15 * model_clauses
-            assert 3.1 <= stats.avg_literals <= 3.5
+            assert abs(formula.num_vars - model_vars) <= 0.15 * model_vars
+            assert abs(n_clauses - model_clauses) <= 0.15 * model_clauses
+            assert 3.1 <= sum(map(len, formula.clauses)) / n_clauses <= 3.5
 
     def test_quadratic_size_scaling(self):
         def vars_at(n):
@@ -168,7 +167,7 @@ class TestSchoolbook:
                 n_bits=n, targets=[s.value],
                 factor_split=(s.p.bit_length(), s.q.bit_length()),
             )
-            return count_stats(encode_schoolbook(spec)[0]).vars
+            return encode_schoolbook(spec)[0].num_vars
 
         assert abs(vars_at(64) / vars_at(32) - 4) <= 0.3
         assert abs(vars_at(128) / vars_at(64) - 4) <= 0.3
@@ -250,7 +249,7 @@ class TestKaratsuba:
                 n_bits=n, targets=[s.value], algorithm="karatsuba",
                 factor_split=(s.p.bit_length(), s.q.bit_length()),
             )
-            return count_stats(encode_karatsuba(spec)[0]).vars
+            return encode_karatsuba(spec)[0].num_vars
 
         sizes = {n: vars_at(n) for n in (16, 32, 64, 128)}
         assert sizes[32] / sizes[16] < 4
@@ -279,10 +278,10 @@ class TestDivision:
                 n_bits=n_value.bit_length(), targets=[n_value],
                 algorithm="division", factor_split=split,
             )
-            mult = count_stats(encode_schoolbook(spec_m)[0])
-            div = count_stats(encode_division(spec_d)[0])
-            assert div.vars > mult.vars
-            assert div.clauses > mult.clauses
+            mult = encode_schoolbook(spec_m)[0]
+            div = encode_division(spec_d)[0]
+            assert div.num_vars > mult.num_vars
+            assert len(div.clauses) > len(mult.clauses)
 
     def test_models_match_brute_force(self):
         rng = random.Random(3)
@@ -358,17 +357,6 @@ class TestDecode:
         vm = VarMap(p_bits=[1], q_bits=[2], sel_vars=[3, 4])
         with pytest.raises(DecodeError, match="selector"):
             decode(vm, {1: True, 2: True, 3: False, 4: False})
-
-
-class TestCountStats:
-    def test_nand(self):
-        stats = count_stats(NAND)
-        assert (stats.vars, stats.clauses) == (3, 3)
-        assert stats.avg_literals == pytest.approx(7 / 3)
-
-    def test_empty(self):
-        stats = count_stats(Formula(0, []))
-        assert (stats.vars, stats.clauses, stats.avg_literals) == (0, 0, 0.0)
 
 
 class TestEncodeSpecValidation:

@@ -1,5 +1,7 @@
 import pytest
 
+from satfactor.bench import generate_instances
+from satfactor.cli import main
 from satfactor.numtheory import (
     MetricVector,
     Semiprime,
@@ -10,7 +12,6 @@ from satfactor.numtheory import (
     largest_prime_factor,
     load_semiprimes_csv,
     metrics,
-    save_semiprimes_csv,
     trial_division,
 )
 
@@ -217,10 +218,9 @@ class TestMetrics:
 
 
 def test_semiprime_csv_round_trip(tmp_path):
-    rows = [gen_semiprime(n, seed=n) for n in (8, 10, 12)]
     path = tmp_path / "semis.csv"
-    save_semiprimes_csv(rows, path)
-    assert load_semiprimes_csv(path) == rows
+    assert main(["gen", "--bits", "12", "--count", "3", "--seed", "5", "--out", str(path)]) == 0
+    assert load_semiprimes_csv(path) == generate_instances(12, 3, 5)
 
 
 def test_semiprime_csv_bad_header(tmp_path):
