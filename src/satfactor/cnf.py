@@ -52,7 +52,7 @@ def make_clause(lits) -> Clause:
         raise CnfError("empty clause")
     seen = set()
     for lit in clause:
-        if not isinstance(lit, int) or lit == 0:
+        if type(lit) is not int or lit == 0:
             raise CnfError(f"invalid literal {lit!r}")
         if lit in seen:
             raise CnfError(f"duplicate literal {lit} in clause {clause}")
@@ -116,14 +116,26 @@ class Formula:
                     )
 
 
+class _ClauseFormats(dict):
+    """Clause length n -> ``"%d " * n + "0"``, made on first use."""
+
+    def __missing__(self, n: int) -> str:
+        fmt = self[n] = "%d " * n + "0"
+        return fmt
+
+
 def write_dimacs(formula: Formula) -> str:
-    """Serialize to DIMACS, with any varmap annotations as leading comments."""
+    """Serialize to DIMACS, with any varmap annotations as leading comments.
+
+    Each clause line is one ``%`` operation on the format for its length;
+    ``tuple`` returns a tuple clause itself and copies any other sequence.
+    """
     lines = []
     if formula.varmap is not None:
         lines.extend(formula.varmap.comment_lines())
     lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
-    for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    formats = _ClauseFormats()
+    lines.extend([formats[len(clause)] % tuple(clause) for clause in formula.clauses])
     return "\n".join(lines) + "\n"
 
 

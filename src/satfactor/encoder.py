@@ -91,54 +91,58 @@ class CircuitBuilder:
         return self.num_vars
 
     def add(self, *lits: int) -> None:
+        """Append one hand-written clause, checked literal by literal."""
         for lit in lits:
             if abs(lit) > self.num_vars:
                 raise EncodeError(f"literal {lit} references an unallocated variable")
         self.clauses.append(make_clause(lits))
 
+    def _check_inputs(self, *lits: int) -> None:
+        """Gate inputs must be int literals (not bools) of distinct allocated
+        variables.  Every gate calls this before it allocates its output, so
+        a rejected gate leaves the builder as it was, and its fixed clauses
+        are then free of repeats and tautologies by construction."""
+        for lit in lits:
+            if type(lit) is not int:
+                raise EncodeError(f"gate input {lit!r} is not an int literal")
+        variables = set(map(abs, lits))
+        if len(variables) != len(lits):
+            raise EncodeError(f"gate inputs {lits} repeat a variable")
+        if not 0 < min(variables) <= max(variables) <= self.num_vars:
+            raise EncodeError(f"gate inputs {lits} reference an unallocated variable")
+
     # -- gate primitives: inputs are literals, each defines a fresh output wire
 
     def and_gate(self, a: int, c: int) -> int:
+        self._check_inputs(a, c)
         w = self.fresh_var()
-        self.add(-a, -c, w)
-        self.add(a, -w)
-        self.add(c, -w)
+        self.clauses += ((-a, -c, w), (a, -w), (c, -w))
         return w
 
     def or_gate(self, a: int, c: int) -> int:
+        self._check_inputs(a, c)
         w = self.fresh_var()
-        self.add(a, c, -w)
-        self.add(-a, w)
-        self.add(-c, w)
+        self.clauses += ((a, c, -w), (-a, w), (-c, w))
         return w
 
     def xor_gate(self, a: int, c: int) -> int:
+        self._check_inputs(a, c)
         w = self.fresh_var()
-        self.add(-w, a, c)
-        self.add(-w, -a, -c)
-        self.add(w, -a, c)
-        self.add(w, a, -c)
+        self.clauses += ((-w, a, c), (-w, -a, -c), (w, -a, c), (w, a, -c))
         return w
 
     def _parity3(self, s: int, a: int, c: int, d: int) -> None:
-        # s <-> a xor c xor d, eight 4-literal clauses
-        self.add(-s, a, c, d)
-        self.add(-s, -a, -c, d)
-        self.add(-s, -a, c, -d)
-        self.add(-s, a, -c, -d)
-        self.add(s, -a, c, d)
-        self.add(s, a, -c, d)
-        self.add(s, a, c, -d)
-        self.add(s, -a, -c, -d)
+        # s <-> a xor c xor d, eight 4-literal clauses; unchecked, callers check
+        self.clauses += (
+            (-s, a, c, d), (-s, -a, -c, d), (-s, -a, c, -d), (-s, a, -c, -d),
+            (s, -a, c, d), (s, a, -c, d), (s, a, c, -d), (s, -a, -c, -d),
+        )
 
     def _majority3(self, w: int, a: int, c: int, d: int) -> None:
-        # w <-> at least two of a, c, d, six 3-literal clauses
-        self.add(-w, a, c)
-        self.add(-w, a, d)
-        self.add(-w, c, d)
-        self.add(w, -a, -c)
-        self.add(w, -a, -d)
-        self.add(w, -c, -d)
+        # w <-> at least two of a, c, d, six 3-literal clauses; unchecked
+        self.clauses += (
+            (-w, a, c), (-w, a, d), (-w, c, d), (w, -a, -c), (w, -a, -d), (w, -c, -d),
+        )
 
     def half_adder(self, a: int, c: int) -> tuple[int, int]:
         s = self.xor_gate(a, c)
@@ -146,6 +150,7 @@ class CircuitBuilder:
         return s, cout
 
     def full_adder(self, a: int, c: int, d: int) -> tuple[int, int]:
+        self._check_inputs(a, c, d)
         s = self.fresh_var()
         self._parity3(s, a, c, d)
         cout = self.fresh_var()
@@ -154,6 +159,7 @@ class CircuitBuilder:
 
     def full_subtractor(self, a: int, c: int, bin_: int) -> tuple[int, int]:
         """Difference and borrow-out of a - c - bin_."""
+        self._check_inputs(a, c, bin_)
         diff = self.fresh_var()
         self._parity3(diff, a, c, bin_)
         bout = self.fresh_var()
@@ -162,13 +168,11 @@ class CircuitBuilder:
 
     def mux_gate(self, sel: int, t: int, f: int) -> int:
         """Output equals t when sel is true, f otherwise."""
+        self._check_inputs(sel, t, f)
         w = self.fresh_var()
-        self.add(-sel, -t, w)
-        self.add(-sel, t, -w)
-        self.add(sel, -f, w)
-        self.add(sel, f, -w)
-        self.add(-t, -f, w)
-        self.add(t, f, -w)
+        self.clauses += (
+            (-sel, -t, w), (-sel, t, -w), (sel, -f, w), (sel, f, -w), (-t, -f, w), (t, f, -w),
+        )
         return w
 
     # -- constant-folding wrappers over bits (literal or bool)

@@ -47,6 +47,12 @@ class TestMakeClause:
         with pytest.raises(CnfError):
             make_clause([0])
 
+    @pytest.mark.parametrize("lits", [[True, 2], [2, True], [False, 2]])
+    def test_bool_rejected(self, lits):
+        # True == 1 and False == 0 as ints; a bool must not pass as a variable
+        with pytest.raises(CnfError, match="invalid literal"):
+            make_clause(lits)
+
 
 class TestFormula:
     def test_out_of_range_literal(self):
@@ -84,6 +90,23 @@ class TestWriteDimacs:
         assert "c varmap q 0 2" in text
         assert "c varmap out 0 3" in text
         assert "c target 0 5" in text
+
+    def test_empty_formula(self):
+        assert write_dimacs(Formula(0, [])) == "p cnf 0 0\n"
+
+    def test_list_clauses(self):
+        assert write_dimacs(Formula(3, [[1, -2], [3]])) == "p cnf 3 2\n1 -2 0\n3 0\n"
+
+
+def write_dimacs_reference(formula):
+    """Reference writer: one str() per literal, joined per clause."""
+    lines = []
+    if formula.varmap is not None:
+        lines.extend(formula.varmap.comment_lines())
+    lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
+    for clause in formula.clauses:
+        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    return "\n".join(lines) + "\n"
 
 
 def parse_dimacs_reference(text):
@@ -322,6 +345,30 @@ def dimacs_texts(draw):
     return formula, "".join(parts)
 
 
+@st.composite
+def wide_formulas(draw):
+    """Clauses of up to 40 literals of either sign, zero clauses allowed,
+    half of the formulas with a varmap."""
+    num_vars = draw(st.integers(min_value=1, max_value=60))
+    clause = st.lists(
+        st.integers(min_value=1, max_value=num_vars), min_size=1, max_size=min(40, num_vars), unique=True,
+    ).flatmap(lambda vs: st.tuples(*(st.sampled_from([v, -v]) for v in vs)))
+    varmap = None
+    if draw(st.booleans()):
+        bits = st.lists(st.integers(min_value=1, max_value=num_vars), max_size=6)
+        varmap = VarMap(
+            p_bits=draw(bits), q_bits=draw(bits), out_bits=draw(bits), sel_vars=draw(bits),
+            targets=draw(st.lists(st.integers(min_value=0, max_value=10**20), max_size=3)),
+        )
+    return Formula(num_vars, draw(st.lists(clause, max_size=12)), varmap=varmap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_formulas())
+def test_write_matches_reference(formula):
+    assert write_dimacs(formula) == write_dimacs_reference(formula)
+
+
 @settings(max_examples=300, deadline=None)
 @given(dimacs_texts())
 def test_parse_matches_reference_on_reformatted_text(case):
@@ -472,6 +519,12 @@ ENCODER_CASES = [
     *((alg, bits, 1) for alg in ALGORITHMS for bits in (8, 16, 24, 32, 48, 64)),
     *(("schoolbook", bits, 4) for bits in (12, 16, 24, 32, 48, 64)),
 ]
+
+
+@pytest.mark.parametrize("algorithm, bits, n_targets", ENCODER_CASES)
+def test_write_matches_reference_on_encoder_instances(algorithm, bits, n_targets):
+    formula = encoder_instance(algorithm, bits, n_targets)
+    assert write_dimacs(formula) == write_dimacs_reference(formula)
 
 
 class TestUnitPropagate:

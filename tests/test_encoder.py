@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from satfactor.bench import generate_instances
-from satfactor.cnf import Formula, Status, parse_dimacs, unit_propagate, write_dimacs
+from satfactor.cnf import CnfError, Formula, Status, parse_dimacs, unit_propagate, write_dimacs
 from satfactor.encoder import (
     ALGORITHMS,
     CircuitBuilder,
@@ -95,6 +96,70 @@ class TestGates:
             x, o = b.xor_gate(a, c), b.or_gate(a, c)
             got = forced_outputs(b, [a, c], [a_bit, c_bit], [x, o])
             assert got == [a_bit ^ c_bit, a_bit or c_bit]
+
+
+# gate -> (number of inputs, clauses it appends)
+GATES = {
+    "and_gate": (2, 3),
+    "or_gate": (2, 3),
+    "xor_gate": (2, 4),
+    "full_adder": (3, 14),
+    "full_subtractor": (3, 14),
+    "mux_gate": (3, 6),
+}
+
+# a builder with variables 1..4 and one pinned clause; the inputs start
+# from (2, -3, 4), so True (variable 1) is distinct and allocated
+BAD_INPUTS = {
+    "true": (lambda ins: [True, *ins[1:]], "not an int literal"),
+    "false": (lambda ins: [False, *ins[1:]], "not an int literal"),
+    "repeat": (lambda ins: [*ins[:-1], ins[0]], "repeat a variable"),
+    "negated repeat": (lambda ins: [*ins[:-1], -ins[0]], "repeat a variable"),
+    "unallocated": (lambda ins: [*ins[:-1], 5], "unallocated"),
+    "negated unallocated": (lambda ins: [-5, *ins[1:]], "unallocated"),
+    "zero": (lambda ins: [*ins[:-1], 0], "unallocated"),
+}
+
+
+def four_var_builder():
+    b = CircuitBuilder()
+    for _ in range(4):
+        b.fresh_var()
+    b.add(1)
+    return b
+
+
+class TestGateInputCheck:
+    @pytest.mark.parametrize("gate", GATES)
+    def test_valid_inputs(self, gate):
+        arity, n_clauses = GATES[gate]
+        b = four_var_builder()
+        getattr(b, gate)(*[2, -3, 4][:arity])
+        assert len(b.clauses) == 1 + n_clauses
+        assert b.num_vars == 4 + (2 if gate.startswith("full") else 1)
+
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    @pytest.mark.parametrize("gate", GATES)
+    def test_bad_inputs_leave_the_builder_unchanged(self, gate, case):
+        arity, _ = GATES[gate]
+        corrupt, message = BAD_INPUTS[case]
+        b = four_var_builder()
+        with pytest.raises(EncodeError, match=message):
+            getattr(b, gate)(*corrupt([2, -3, 4][:arity]))
+        assert b.num_vars == 4
+        assert b.clauses == [(1,)]
+
+    def test_add_rejects_bool(self):
+        b = four_var_builder()
+        with pytest.raises(CnfError, match="invalid literal"):
+            b.add(True, 2)
+        assert b.clauses == [(1,)]
+
+    def test_add_rejects_unallocated(self):
+        b = four_var_builder()
+        with pytest.raises(EncodeError, match="unallocated"):
+            b.add(2, -5)
+        assert b.clauses == [(1,)]
 
 
 def all_models(formula, varmap, limit=64):
@@ -417,3 +482,33 @@ def test_varmap_survives_dimacs(tmp_path):
     parsed = parse_dimacs(write_dimacs(formula))
     assert parsed.varmap == varmap
     assert parsed.varmap.targets == [35]
+
+
+# SHA-256 of write_dimacs(encode(spec)).  Single targets are
+# gen_semiprime(bits, bits) at their own split; the 4-target instance is
+# generate_instances(32, 4, master_seed=4).  A speed-up of the builder or the
+# writer must leave these bytes alone: any change to a clause, its literal
+# order or the clause order changes the digest.
+GOLDEN_DIGESTS = {
+    ("schoolbook", 16): "e01961ea1a5d5764cedcab6b1c8f0fb5a2633b56950a7ec4e06e2b9e89172153",
+    ("schoolbook", 32): "45792ab3c7ceffadc7484b6a8e9f8274ac3923a17c30525f3f3cc5f466392e2b",
+    ("schoolbook", 64): "321916e12d76e36b352fe98262536c0331db6a70b94f2aeac4e8d400c5514d0d",
+    ("karatsuba", 16): "b85e07c4500e9b8f2ee1c68d3b598f28f388ae8025b85b72831a5fd503585cdf",
+    ("karatsuba", 32): "9eeb4837c1fad28e4c6b708eb7182c599c8de9dd0d0529f48e2ff9569e2bc10d",
+    ("karatsuba", 64): "e444dc12f472eacf8cf5ac9ddf94fe53b2d03febdb67e335e048febdefb90aff",
+    ("division", 16): "a4ecdc42b66bbf04254ae830478307775565fb08424f453caabbae23ffb5b15a",
+    ("division", 32): "a3ef901812bdb35c6cab059250979ae7b2db99eeb36d180286588e004a34fea0",
+    ("division", 64): "2ee32ad27365b0babbf3f581ff38d8aa076c9067172ab35d6a150baa0c2c5dd0",
+    ("multi_target", 32): "d841d0b31593ac848d750209d973fc2bd831eeb82d6f66bab513087727f5e1f2",
+}
+
+
+@pytest.mark.parametrize("algorithm, bits", GOLDEN_DIGESTS)
+def test_golden_instance_digest(algorithm, bits):
+    if algorithm == "multi_target":
+        spec = spec_for([s.value for s in generate_instances(bits, 4, master_seed=4)])
+    else:
+        s = gen_semiprime(bits, bits)
+        spec = spec_for([s.value], algorithm, s.split)
+    text = write_dimacs(encode(spec)[0])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[algorithm, bits]
