@@ -213,28 +213,24 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> Dataset:
             for n in plan.bitlengths
             for s in instances_by_n[n]
         ]
-        dataset = Dataset(records, plan.fingerprint())
-        dataset.sort()
-        return dataset
-
-    tasks = []
-    for n in plan.bitlengths:
-        if plan.strategy == "multi_target":
-            unique = list({s.value: s for s in instances_by_n[n]}.values())
-            for j in range(plan.seeds_per_instance):
-                seed = derive_seed(plan.master_seed, "solver", n, 0, j)
-                tasks.append((plan, n, unique, seed))
-        else:
-            for i, s in enumerate(instances_by_n[n]):
-                for j in range(plan.seeds_per_instance):
-                    seed = derive_seed(plan.master_seed, "solver", n, i, j)
-                    tasks.append((plan, n, [s], seed))
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_solve_task, tasks, chunksize=1))
     else:
-        records = [_solve_task(t) for t in tasks]
+        tasks = []
+        for n in plan.bitlengths:
+            if plan.strategy == "multi_target":
+                unique = list({s.value: s for s in instances_by_n[n]}.values())
+                for j in range(plan.seeds_per_instance):
+                    seed = derive_seed(plan.master_seed, "solver", n, 0, j)
+                    tasks.append((plan, n, unique, seed))
+            else:
+                for i, s in enumerate(instances_by_n[n]):
+                    for j in range(plan.seeds_per_instance):
+                        seed = derive_seed(plan.master_seed, "solver", n, i, j)
+                        tasks.append((plan, n, [s], seed))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(_solve_task, tasks, chunksize=1))
+        else:
+            records = [_solve_task(t) for t in tasks]
 
     dataset = Dataset(records, plan.fingerprint())
     dataset.sort()

@@ -197,11 +197,11 @@ def _fit_from_dataset(path: str, stat: str):
         raise RuntimeError("dataset has no SAT rows to fit")
     curve = analysis.per_bitlength_median(points)
     fit = analysis.fit_exponential(curve)
-    return dataset, points, curve, fit
+    return points, curve, fit
 
 
 def cmd_analyze_fit(args) -> int:
-    _, points, curve, fit = _fit_from_dataset(args.dataset, args.stat)
+    points, curve, fit = _fit_from_dataset(args.dataset, args.stat)
     if args.curve:
         analysis.write_curve_csv(args.curve, curve, fit)
     report = {

@@ -93,8 +93,9 @@ class VarMap:
 class Formula:
     """A CNF formula: variable count, clause list, optional decode map.
 
-    Construction rejects an empty clause, a literal 0 and a literal whose
-    variable exceeds ``num_vars``.
+    Construction rejects an empty clause, a literal that is not an int (a
+    bool included), a literal 0 and a literal whose variable exceeds
+    ``num_vars``.
     """
 
     num_vars: int
@@ -105,13 +106,15 @@ class Formula:
         num_vars = self.num_vars
         if num_vars < 0:
             raise CnfError("negative variable count")
+        lowest = -num_vars
         for clause in self.clauses:
             if not clause:
                 raise CnfError("empty clause")
             for lit in clause:
-                if not 0 < abs(lit) <= num_vars:
+                if type(lit) is not int or not lit or not lowest <= lit <= num_vars:
                     raise CnfError(
-                        f"literal 0 in clause {clause}" if lit == 0
+                        f"invalid literal {lit!r} in clause {clause}" if type(lit) is not int
+                        else f"literal 0 in clause {clause}" if lit == 0
                         else f"literal {lit} out of range for {num_vars} variables"
                     )
 
@@ -213,83 +216,73 @@ def _assemble_varmap(parts: dict, num_vars: int, last_line: int) -> VarMap | Non
 
 
 class _Literals(dict):
-    """Literal token -> int; each distinct token is converted only once."""
+    """Literal token -> int, each distinct token converted once; None for a
+    token that is no literal of 1..num_vars in either sign."""
 
-    def __missing__(self, token: str) -> int:
-        lit = self[token] = int(token)
+    def __init__(self, num_vars: int):
+        super().__init__()
+        self.num_vars = num_vars
+
+    def __missing__(self, token: str) -> int | None:
+        try:
+            lit = int(token)
+        except ValueError:
+            lit = None
+        else:
+            if not 0 < abs(lit) <= self.num_vars:
+                lit = None
+        self[token] = lit
         return lit
 
 
-def _parse_clause_lines(lines: list[str]) -> Formula | None:
-    """The common case of :func:`parse_dimacs`, checked in bulk.
+def parse_dimacs(text: str) -> Formula:
+    """Parse DIMACS text; varmap annotation comments are preserved.
 
-    Every clause line must hold one whole clause ending in its only 0.
-    Duplicates and tautologies are found per line by the number of distinct
-    variables, stray zeros and literals out of range by :class:`Formula`.
-    Returns None on anything else -- an error, or an unusual but valid form
-    such as a clause split across lines -- and leaves the reporting to
-    :func:`_parse_line_by_line`.
+    Raises :class:`DimacsError` with a line number for a malformed or
+    negative header, out-of-range literals or varmap variables, a clause
+    missing its terminating 0, or a clause count that disagrees with the
+    header.  A line holding one whole clause -- literals of distinct
+    variables in range, then its only 0 -- is taken as it stands; any other
+    line goes to the pending literals, which are cut at every 0 and checked
+    clause by clause.
     """
+    lines = text.splitlines()
     num_vars = num_clauses = None
     clauses: list[Clause] = []
     append = clauses.append
     varmap_parts: dict = {}
-    literal = _Literals().__getitem__
-    try:
-        for line_no, line in enumerate(lines, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            lead = tokens[0][0]
-            if lead == "c":
-                _parse_comment(line.strip(), varmap_parts, line_no)
-            elif lead == "p":
-                if num_vars is not None:
-                    return None
-                num_vars, num_clauses = _parse_header(line.strip(), line_no)
-            elif num_vars is None or tokens.pop() != "0" or not tokens:
-                return None
-            else:
-                clause = tuple(map(literal, tokens))
-                if len(set(map(abs, clause))) != len(clause):
-                    return None
-                append(clause)
-        if num_vars is None or num_clauses != len(clauses):
-            return None
-        return Formula(num_vars, clauses, varmap=_assemble_varmap(varmap_parts, num_vars, len(lines)))
-    except ValueError:  # a token int() rejects, a DimacsError or a CnfError
-        return None
-
-
-def _parse_line_by_line(lines: list[str]) -> Formula:
-    """Parse literal by literal, raising :class:`DimacsError` on the first
-    offending line."""
-    num_vars = None
-    num_clauses = None
-    clauses: list[Clause] = []
-    varmap_parts: dict = {}
     pending: list[int] = []
-    last_line = len(lines)
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
             continue
-        if line.startswith("c"):
-            _parse_comment(line, varmap_parts, line_no)
+        lead = tokens[0][0]
+        if lead == "c":
+            _parse_comment(line.strip(), varmap_parts, line_no)
             continue
-        if line.startswith("p"):
+        if lead == "p":
             if num_vars is not None:
                 raise DimacsError(line_no, "duplicate header")
-            num_vars, num_clauses = _parse_header(line, line_no)
+            num_vars, num_clauses = _parse_header(line.strip(), line_no)
+            literal = _Literals(num_vars).__getitem__
             continue
         if num_vars is None:
             raise DimacsError(line_no, "clause before header")
+        last = tokens.pop()
+        if last == "0" and not pending:
+            clause = tuple(map(literal, tokens))
+            try:
+                distinct = len(set(map(abs, clause)))
+            except TypeError:  # abs(None): a token that is no literal in range
+                distinct = -1
+            if clause and distinct == len(clause):
+                append(clause)
+                continue
+        tokens.append(last)
         try:
-            tokens = [int(t) for t in line.split()]
+            pending += map(int, tokens)
         except ValueError:
-            raise DimacsError(line_no, f"non-integer literal on line: {line!r}")
-        pending.extend(tokens)
+            raise DimacsError(line_no, f"non-integer literal on line: {line.strip()!r}")
         while 0 in pending:
             cut = pending.index(0)
             lits = pending[:cut]
@@ -297,10 +290,11 @@ def _parse_line_by_line(lines: list[str]) -> Formula:
             if any(abs(lit) > num_vars for lit in lits):
                 raise DimacsError(line_no, "variable out of range")
             try:
-                clauses.append(make_clause(lits))
+                append(make_clause(lits))
             except CnfError as exc:
                 raise DimacsError(line_no, str(exc))
 
+    last_line = len(lines)
     if num_vars is None:
         raise DimacsError(last_line, "missing header")
     if pending:
@@ -311,20 +305,6 @@ def _parse_line_by_line(lines: list[str]) -> Formula:
             f"clause count mismatch: header says {num_clauses}, found {len(clauses)}",
         )
     return Formula(num_vars, clauses, varmap=_assemble_varmap(varmap_parts, num_vars, last_line))
-
-
-def parse_dimacs(text: str) -> Formula:
-    """Parse DIMACS text; varmap annotation comments are preserved.
-
-    Raises :class:`DimacsError` with a line number for a malformed or
-    negative header, out-of-range literals or varmap variables, a clause
-    missing its terminating 0, or a clause count that disagrees with the
-    header.  The usual one-clause-per-line text takes a bulk path; anything
-    else, errors included, is parsed literal by literal.
-    """
-    lines = text.splitlines()
-    formula = _parse_clause_lines(lines)
-    return formula if formula is not None else _parse_line_by_line(lines)
 
 
 def parse_solver_output(text: str) -> tuple[Status, Assignment | None]:

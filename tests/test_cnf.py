@@ -72,6 +72,12 @@ class TestFormula:
         with pytest.raises(CnfError, match=r"literal 0 in clause \(0, 1\)"):
             write_dimacs(Formula(2, [(0, 1), (2,)]))
 
+    @pytest.mark.parametrize("clause", [(True, 2), (2, True), (False, 2)])
+    def test_bool_literal_rejected(self, clause):
+        # True == 1 as an int; it must not be written as variable 1
+        with pytest.raises(CnfError, match="invalid literal"):
+            Formula(2, [clause])
+
 
 class TestWriteDimacs:
     def test_single_unit(self):
@@ -525,6 +531,32 @@ ENCODER_CASES = [
 def test_write_matches_reference_on_encoder_instances(algorithm, bits, n_targets):
     formula = encoder_instance(algorithm, bits, n_targets)
     assert write_dimacs(formula) == write_dimacs_reference(formula)
+
+
+def interleaved_dimacs(formula):
+    """DIMACS text for `formula` that cycles, clause by clause, through a
+    whole-clause line, a clause split across two lines, two clauses on one
+    line and a clause split around a ``c ... 0`` comment."""
+    parts = [line + "\n" for line in formula.varmap.comment_lines()] if formula.varmap else []
+    parts.append(f"p cnf {formula.num_vars} {len(formula.clauses)}\n")
+    for i, clause in enumerate(formula.clauses):
+        head, *tail = map(str, clause)
+        rest = " ".join([*tail, "0"])
+        parts.append((
+            f"{head} {rest}\n",  # one whole clause
+            f"{head}\n{rest}\n",  # split across two lines
+            f"{head} {rest} ",  # the first of two clauses on a line
+            f"{head} {rest}\n",  # and the second
+            f"{head}\nc split 0\n{rest}\n",  # split around a comment
+        )[i % 5])
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("algorithm, bits, n_targets", ENCODER_CASES)
+def test_parse_matches_reference_on_interleaved_encoder_text(algorithm, bits, n_targets):
+    formula = encoder_instance(algorithm, bits, n_targets)
+    text = interleaved_dimacs(formula)
+    assert parse_dimacs(text) == formula == parse_dimacs_reference(text)
 
 
 class TestUnitPropagate:
