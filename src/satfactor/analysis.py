@@ -292,13 +292,10 @@ def estimate_costs(
 def per_bitlength_median(points: list[tuple[int, int, float]]) -> list[tuple[int, float]]:
     """Collapse per-instance aggregates to a per-bitlength median, the
     statistic the runtime trend line is fitted against."""
-    rows = []
-    for n_bits, group in itertools.groupby(sorted(points), key=lambda p: p[0]):
-        times = sorted(t for _, _, t in group)
-        k = len(times)
-        median = times[k // 2] if k % 2 else (times[k // 2 - 1] + times[k // 2]) / 2
-        rows.append((n_bits, median))
-    return rows
+    return [
+        (n_bits, statistics.median(t for _, _, t in group))
+        for n_bits, group in itertools.groupby(sorted(points), key=lambda p: p[0])
+    ]
 
 
 def write_curve_csv(path, curve: list[tuple[int, float]], fit: FitResult) -> None:

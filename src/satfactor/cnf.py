@@ -43,17 +43,19 @@ class DimacsError(ValueError):
 def make_clause(lits) -> Clause:
     """Validate and normalize literals into a clause tuple.
 
-    Rejects empty clauses, duplicate literals, and tautologies outright:
-    the encoder is never supposed to produce them, so silently fixing
-    them up would hide bugs.
+    The one rule for a clause's own literals: not empty, each an int (not a
+    bool) other than 0, no repeat and no tautology.  The encoder is never
+    supposed to produce them, so silently fixing them up would hide bugs.
     """
     clause = tuple(lits)
     if not clause:
         raise CnfError("empty clause")
     seen = set()
     for lit in clause:
-        if type(lit) is not int or lit == 0:
-            raise CnfError(f"invalid literal {lit!r}")
+        if type(lit) is not int:
+            raise CnfError(f"invalid literal {lit!r} in clause {clause}")
+        if not lit:
+            raise CnfError(f"literal 0 in clause {clause}")
         if lit in seen:
             raise CnfError(f"duplicate literal {lit} in clause {clause}")
         if -lit in seen:
@@ -93,9 +95,10 @@ class VarMap:
 class Formula:
     """A CNF formula: variable count, clause list, optional decode map.
 
-    Construction rejects an empty clause, a literal that is not an int (a
-    bool included), a literal 0 and a literal whose variable exceeds
-    ``num_vars``.
+    Construction applies :func:`make_clause` to every clause and rejects a
+    variable beyond ``num_vars``, so whatever it accepts reads back from DIMACS.
+    The encoder, :func:`parse_dimacs` and :func:`unit_propagate` check their
+    clauses as they build them and construct through ``_unchecked_formula``.
     """
 
     num_vars: int
@@ -106,17 +109,17 @@ class Formula:
         num_vars = self.num_vars
         if num_vars < 0:
             raise CnfError("negative variable count")
-        lowest = -num_vars
         for clause in self.clauses:
-            if not clause:
-                raise CnfError("empty clause")
-            for lit in clause:
-                if type(lit) is not int or not lit or not lowest <= lit <= num_vars:
-                    raise CnfError(
-                        f"invalid literal {lit!r} in clause {clause}" if type(lit) is not int
-                        else f"literal 0 in clause {clause}" if lit == 0
-                        else f"literal {lit} out of range for {num_vars} variables"
-                    )
+            for lit in make_clause(clause):
+                if not -num_vars <= lit <= num_vars:
+                    raise CnfError(f"literal {lit} out of range for {num_vars} variables")
+
+
+def _unchecked_formula(num_vars: int, clauses: list[Clause], varmap: VarMap | None) -> Formula:
+    """A Formula of clauses that their producer has checked as it built them."""
+    formula = object.__new__(Formula)
+    formula.num_vars, formula.clauses, formula.varmap = num_vars, clauses, varmap
+    return formula
 
 
 class _ClauseFormats(dict):
@@ -304,7 +307,8 @@ def parse_dimacs(text: str) -> Formula:
             last_line,
             f"clause count mismatch: header says {num_clauses}, found {len(clauses)}",
         )
-    return Formula(num_vars, clauses, varmap=_assemble_varmap(varmap_parts, num_vars, last_line))
+    varmap = _assemble_varmap(varmap_parts, num_vars, last_line)
+    return _unchecked_formula(num_vars, clauses, varmap)
 
 
 def parse_solver_output(text: str) -> tuple[Status, Assignment | None]:
@@ -418,9 +422,8 @@ def unit_propagate(formula: Formula) -> SimplifyResult:
                     break
             else:
                 if not free:
-                    return SimplifyResult(
-                        Formula(formula.num_vars, [], varmap=formula.varmap), units, conflict=True
-                    )
+                    empty = _unchecked_formula(formula.num_vars, [], formula.varmap)
+                    return SimplifyResult(empty, units, conflict=True)
                 if len(free) > 1:
                     shortened.add(i)
                 else:
@@ -442,4 +445,4 @@ def unit_propagate(formula: Formula) -> SimplifyResult:
     kept = [clause for clause in out if clause is not None]
     if formula.varmap is not None:
         kept += [(v if units[v] else -v,) for v in formula.varmap.all_vars() if v in units]
-    return SimplifyResult(Formula(formula.num_vars, kept, varmap=formula.varmap), units)
+    return SimplifyResult(_unchecked_formula(formula.num_vars, kept, formula.varmap), units)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import Assignment, Clause, Formula, VarMap, make_clause
+from .cnf import Assignment, Clause, Formula, VarMap, _unchecked_formula, make_clause
+from .numtheory import factor_splits
 
 KARATSUBA_BASE_BITS = 4
 
@@ -53,11 +54,10 @@ class EncodeSpec:
                 raise EncodeError(
                     f"target {t} has {t.bit_length()} bits, expected {self.n_bits}"
                 )
+        splits = factor_splits(self.n_bits)
         if self.factor_split is None:
-            half_up = (self.n_bits + 1) // 2
-            self.factor_split = (half_up, half_up)
-        m_p, m_q = self.factor_split
-        if m_p + m_q not in (self.n_bits, self.n_bits + 1) or abs(m_p - m_q) > 1:
+            self.factor_split = splits[0]
+        if tuple(sorted(self.factor_split)) not in splits:
             raise EncodeError(
                 f"factor split {self.factor_split} incompatible with {self.n_bits} bits"
             )
@@ -427,8 +427,7 @@ def _product_encoding(spec: EncodeSpec, product_fn) -> tuple[Formula, VarMap]:
     builder, p_bits, q_bits, out_vars = _multiplier(spec, product_fn)
     _fix_output(builder, out_vars, target)
     varmap = VarMap(p_bits=p_bits, q_bits=q_bits, out_bits=out_vars, targets=[target])
-    formula = Formula(builder.num_vars, builder.clauses, varmap=varmap)
-    return formula, varmap
+    return _unchecked_formula(builder.num_vars, builder.clauses, varmap), varmap
 
 
 def encode_schoolbook(spec: EncodeSpec) -> tuple[Formula, VarMap]:
@@ -486,8 +485,7 @@ def encode_division(spec: EncodeSpec) -> tuple[Formula, VarMap]:
             builder.add(bnot(bit))
 
     varmap = VarMap(p_bits=divisor, q_bits=quotient, out_bits=dividend, targets=[target])
-    formula = Formula(builder.num_vars, builder.clauses, varmap=varmap)
-    return formula, varmap
+    return _unchecked_formula(builder.num_vars, builder.clauses, varmap), varmap
 
 
 def encode_multi_target(spec: EncodeSpec) -> tuple[Formula, VarMap]:
@@ -516,8 +514,7 @@ def encode_multi_target(spec: EncodeSpec) -> tuple[Formula, VarMap]:
         sel_vars=sel_vars,
         targets=list(spec.targets),
     )
-    formula = Formula(builder.num_vars, builder.clauses, varmap=varmap)
-    return formula, varmap
+    return _unchecked_formula(builder.num_vars, builder.clauses, varmap), varmap
 
 
 _ENCODERS = {

@@ -78,6 +78,15 @@ class TestFormula:
         with pytest.raises(CnfError, match="invalid literal"):
             Formula(2, [clause])
 
+    def test_duplicate_literal_rejected(self):
+        # write_dimacs would write it, and parse_dimacs reject it
+        with pytest.raises(CnfError, match=r"duplicate literal 1 in clause \(1, 1\)"):
+            Formula(2, [(1, 1)])
+
+    def test_tautology_rejected(self):
+        with pytest.raises(CnfError, match="tautological clause"):
+            Formula(2, [(1, -1)])
+
 
 class TestWriteDimacs:
     def test_single_unit(self):
@@ -289,12 +298,6 @@ class TestParseDimacs:
         assert parse_dimacs(text) == formula == parse_dimacs_reference(text)
 
 
-def lits(num_vars):
-    return st.integers(min_value=1, max_value=num_vars).flatmap(
-        lambda v: st.sampled_from([v, -v])
-    )
-
-
 @st.composite
 def formulas(draw):
     num_vars = draw(st.integers(min_value=1, max_value=12))
@@ -316,6 +319,28 @@ def formulas(draw):
 @settings(max_examples=150, deadline=None)
 @given(formulas())
 def test_dimacs_round_trip_property(formula):
+    assert parse_dimacs(write_dimacs(formula)) == formula
+
+
+@st.composite
+def clause_lists(draw):
+    """A variable count and clauses of literals in range that may repeat a
+    variable, within a clause or negated."""
+    num_vars = draw(st.integers(min_value=1, max_value=6))
+    lit = st.integers(min_value=-num_vars, max_value=num_vars).filter(bool)
+    return num_vars, draw(st.lists(st.lists(lit, min_size=1, max_size=4).map(tuple), max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clause_lists())
+def test_every_formula_survives_a_round_trip(case):
+    """Formula rejects a clause that repeats a variable, or the DIMACS text
+    reads back as the same formula."""
+    num_vars, clauses = case
+    try:
+        formula = Formula(num_vars, clauses)
+    except CnfError:
+        return
     assert parse_dimacs(write_dimacs(formula)) == formula
 
 
@@ -500,9 +525,11 @@ def assert_same_as_rounds(formula):
 @st.composite
 def unit_heavy_formulas(draw):
     """Short clauses over few variables, so propagation runs long chains and
-    often conflicts; literals may repeat within a clause."""
+    often conflicts; each clause has distinct variables of random signs."""
     num_vars = draw(st.integers(min_value=1, max_value=10))
-    clause = st.lists(lits(num_vars), min_size=1, max_size=3).map(tuple)
+    clause = st.lists(
+        st.integers(min_value=1, max_value=num_vars), min_size=1, max_size=min(3, num_vars), unique=True,
+    ).flatmap(lambda vs: st.tuples(*(st.sampled_from([v, -v]) for v in vs)))
     return Formula(num_vars, draw(st.lists(clause, max_size=30)))
 
 
@@ -557,6 +584,18 @@ def test_parse_matches_reference_on_interleaved_encoder_text(algorithm, bits, n_
     formula = encoder_instance(algorithm, bits, n_targets)
     text = interleaved_dimacs(formula)
     assert parse_dimacs(text) == formula == parse_dimacs_reference(text)
+
+
+@pytest.mark.parametrize("algorithm, bits, n_targets", ENCODER_CASES)
+def test_producers_pass_the_public_check(algorithm, bits, n_targets):
+    """The encoder, parse_dimacs and unit_propagate skip Formula's check;
+    what each of them builds must pass it all the same."""
+    formula = encoder_instance(algorithm, bits, n_targets)
+    result = unit_propagate(formula)
+    # forced varmap bits stay in the result as unit clauses; some are forced here
+    assert any(v in result.units for v in formula.varmap.all_vars())
+    for f in (formula, parse_dimacs(write_dimacs(formula)), result.formula):
+        assert f == Formula(f.num_vars, f.clauses, f.varmap)
 
 
 class TestUnitPropagate:
