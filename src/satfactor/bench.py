@@ -19,7 +19,7 @@ import logging
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .cnf import Formula, Status, VarMap
 from .encoder import DecodeError, decode, encode, spec_for
@@ -29,21 +29,6 @@ from .solver import SolveResult, SolverConfig, SolverError, solve, solve_externa
 log = logging.getLogger(__name__)
 
 STRATEGIES = ("mean", "min", "multi_target", "trial_division")
-
-CSV_COLUMNS = [
-    "strategy",
-    "encoder",
-    "solver",
-    "n_bits",
-    "N",
-    "solver_seed",
-    "status",
-    "wall_time_s",
-    "conflicts",
-    "decisions",
-    "matched_target",
-]
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -76,6 +61,8 @@ class ExperimentPlan:
 
 @dataclass
 class RunRecord:
+    """One dataset row; the fields, in order, are the dataset CSV's columns."""
+
     strategy: str
     encoder: str
     solver: str
@@ -89,16 +76,23 @@ class RunRecord:
     matched_target: int | None = None
 
 
+CSV_COLUMNS = [f.name for f in fields(RunRecord)]
+
+# How load_csv reads each column that is not an int.
+_READERS = {
+    "strategy": str,
+    "encoder": str,
+    "solver": str,
+    "status": Status,
+    "wall_time_s": float,
+    "matched_target": lambda text: int(text) if text else None,
+}
+
+
 @dataclass
 class Dataset:
     records: list[RunRecord]
     fingerprint: str
-
-    def sort(self) -> None:
-        self.records.sort(key=lambda r: (r.n_bits, r.N, r.solver_seed))
-
-    def unknown_count(self) -> int:
-        return sum(1 for r in self.records if r.status is Status.UNKNOWN)
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -232,9 +226,8 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> Dataset:
         else:
             records = [_solve_task(t) for t in tasks]
 
-    dataset = Dataset(records, plan.fingerprint())
-    dataset.sort()
-    return dataset
+    records.sort(key=lambda r: (r.n_bits, r.N, r.solver_seed))
+    return Dataset(records, plan.fingerprint())
 
 
 def aggregate(dataset: Dataset, stat: str = "mean") -> list[tuple[int, int, float]]:
@@ -267,26 +260,15 @@ def aggregate(dataset: Dataset, stat: str = "mean") -> list[tuple[int, int, floa
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
+    """A ``# plan=`` line, the header, then each record's field values in
+    order; csv writes a float by ``repr`` and None as an empty field."""
     out = io.StringIO()
     out.write(f"# plan={dataset.fingerprint}\n")
-    writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for r in dataset.records:
-        writer.writerow(
-            {
-                "strategy": r.strategy,
-                "encoder": r.encoder,
-                "solver": r.solver,
-                "n_bits": r.n_bits,
-                "N": r.N,
-                "solver_seed": r.solver_seed,
-                "status": r.status.value,
-                "wall_time_s": repr(r.wall_time_s),
-                "conflicts": r.conflicts,
-                "decisions": r.decisions,
-                "matched_target": "" if r.matched_target is None else r.matched_target,
-            }
-        )
+        row = [getattr(r, c) for c in CSV_COLUMNS]
+        writer.writerow([v.value if isinstance(v, Status) else v for v in row])
     return out.getvalue()
 
 
@@ -307,20 +289,6 @@ def load_csv(path) -> Dataset:
         missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
         extra = [c for c in (reader.fieldnames or []) if c not in CSV_COLUMNS]
         raise ValueError(f"bad dataset schema: missing={missing} unexpected={extra}")
-    records = [
-        RunRecord(
-            strategy=row["strategy"],
-            encoder=row["encoder"],
-            solver=row["solver"],
-            n_bits=int(row["n_bits"]),
-            N=int(row["N"]),
-            solver_seed=int(row["solver_seed"]),
-            status=Status(row["status"]),
-            wall_time_s=float(row["wall_time_s"]),
-            conflicts=int(row["conflicts"]),
-            decisions=int(row["decisions"]),
-            matched_target=int(row["matched_target"]) if row["matched_target"] else None,
-        )
-        for row in reader
-    ]
+    readers = {c: _READERS.get(c, int) for c in CSV_COLUMNS}
+    records = [RunRecord(**{c: read(row[c]) for c, read in readers.items()}) for row in reader]
     return Dataset(records, fingerprint)

@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 from . import analysis, bench, numtheory
 from .cnf import Status, parse_dimacs, unit_propagate, write_dimacs
@@ -184,7 +185,7 @@ def cmd_bench(args) -> int:
     )
     dataset = bench.run_experiment(plan, workers=args.workers)
     _write_output(args.out, bench.dataset_to_csv(dataset))
-    n_unknown = dataset.unknown_count()
+    n_unknown = sum(1 for r in dataset.records if r.status is Status.UNKNOWN)
     if n_unknown:
         print(f"note: {n_unknown} runs returned UNKNOWN", file=sys.stderr)
     return EXIT_OK
@@ -205,9 +206,7 @@ def cmd_analyze_fit(args) -> int:
     if args.curve:
         analysis.write_curve_csv(args.curve, curve, fit)
     report = {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r2": fit.r2,
+        **asdict(fit),
         "stat": args.stat,
         "per_instance_points": len(points),
         "curve": [{"n_bits": n, "seconds": t} for n, t in curve],
@@ -298,16 +297,7 @@ def cmd_estimate(args) -> int:
         classical_rate=args.classical_rate,
         quantum_rate=args.quantum_rate,
     )
-    report = {
-        "n_bits": estimate.n_bits,
-        "classical_log2_ops": estimate.classical_log2_ops,
-        "quantum_log2_ops": estimate.quantum_log2_ops,
-        "nfs_log2_ops": estimate.nfs_log2_ops,
-        "classical_log2_seconds": estimate.classical_log2_seconds,
-        "quantum_log2_seconds": estimate.quantum_log2_seconds,
-        "universe_lifetimes": estimate.universe_lifetimes,
-    }
-    _write_output(args.out, json.dumps(report, indent=2) + "\n")
+    _write_output(args.out, json.dumps(asdict(estimate), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -387,10 +377,15 @@ def build_parser() -> _Parser:
     pa.add_argument("--out", default=None)
     pa.set_defaults(fn=cmd_analyze_correlate)
 
-    p = sub.add_parser("estimate", help="classical/quantum/sieve cost extrapolation")
+    p = sub.add_parser(
+        "estimate", help="classical/quantum/sieve cost extrapolation",
+        description="--slope and --intercept set a log2-operations model, log2(ops) = "
+        "slope * bits + intercept.  analyze fit reports log2 seconds, so its numbers "
+        "passed here would be read as operations.",
+    )
     p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--slope", type=float, default=None)
-    p.add_argument("--intercept", type=float, default=None)
+    p.add_argument("--slope", type=float, default=None, help="log2 operations per bit")
+    p.add_argument("--intercept", type=float, default=None, help="log2 operations at 0 bits")
     p.add_argument("--classical-rate", type=float, default=analysis.DEFAULT_CLASSICAL_RATE)
     p.add_argument("--quantum-rate", type=float, default=analysis.DEFAULT_QUANTUM_RATE)
     p.add_argument("--out", default=None)

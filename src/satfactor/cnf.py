@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import re
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -41,7 +42,8 @@ class DimacsError(ValueError):
 
 
 def make_clause(lits) -> Clause:
-    """Validate and normalize literals into a clause tuple.
+    """Validate and normalize literals into a clause tuple; a tuple clause
+    is returned itself.
 
     The one rule for a clause's own literals: not empty, each an int (not a
     bool) other than 0, no repeat and no tautology.  The encoder is never
@@ -95,8 +97,9 @@ class VarMap:
 class Formula:
     """A CNF formula: variable count, clause list, optional decode map.
 
-    Construction applies :func:`make_clause` to every clause and rejects a
-    variable beyond ``num_vars``, so whatever it accepts reads back from DIMACS.
+    Construction stores :func:`make_clause` of every clause and rejects a
+    variable beyond ``num_vars``, so whatever it accepts reads back from DIMACS
+    as an equal formula.
     The encoder, :func:`parse_dimacs` and :func:`unit_propagate` check their
     clauses as they build them and construct through ``_unchecked_formula``.
     """
@@ -109,10 +112,14 @@ class Formula:
         num_vars = self.num_vars
         if num_vars < 0:
             raise CnfError("negative variable count")
-        for clause in self.clauses:
-            for lit in make_clause(clause):
+        clauses = []
+        for lits in self.clauses:
+            clause = make_clause(lits)
+            for lit in clause:
                 if not -num_vars <= lit <= num_vars:
                     raise CnfError(f"literal {lit} out of range for {num_vars} variables")
+            clauses.append(clause)
+        self.clauses = clauses
 
 
 def _unchecked_formula(num_vars: int, clauses: list[Clause], varmap: VarMap | None) -> Formula:
@@ -133,16 +140,26 @@ class _ClauseFormats(dict):
 def write_dimacs(formula: Formula) -> str:
     """Serialize to DIMACS, with any varmap annotations as leading comments.
 
-    Each clause line is one ``%`` operation on the format for its length;
-    ``tuple`` returns a tuple clause itself and copies any other sequence.
+    Each clause line is one ``%`` operation on the format for its length.
     """
     lines = []
     if formula.varmap is not None:
         lines.extend(formula.varmap.comment_lines())
     lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
     formats = _ClauseFormats()
-    lines.extend([formats[len(clause)] % tuple(clause) for clause in formula.clauses])
+    lines.extend([formats[len(clause)] % clause for clause in formula.clauses])
     return "\n".join(lines) + "\n"
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(token: str) -> int:
+    """A DIMACS integer: an optional sign, then ASCII digits.  Python's
+    ``int`` alone would also take ``1_0`` and non-ASCII digits."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 def _parse_header(line: str, line_no: int) -> tuple[int, int]:
@@ -151,7 +168,7 @@ def _parse_header(line: str, line_no: int) -> tuple[int, int]:
     if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
         raise DimacsError(line_no, f"malformed header: {line!r}")
     try:
-        num_vars, num_clauses = int(fields[2]), int(fields[3])
+        num_vars, num_clauses = _integer(fields[2]), _integer(fields[3])
     except ValueError:
         raise DimacsError(line_no, f"malformed header: {line!r}")
     if num_vars < 0 or num_clauses < 0:
@@ -171,7 +188,7 @@ def _parse_comment(line: str, varmaps: dict, line_no: int) -> None:
         if len(tokens) != 4 or tokens[1] not in ("p", "q", "out", "sel"):
             raise DimacsError(line_no, f"bad varmap annotation: {' '.join(tokens)}")
         try:
-            idx, value = int(tokens[2]), int(tokens[3])
+            idx, value = _integer(tokens[2]), _integer(tokens[3])
         except ValueError:
             raise DimacsError(line_no, f"non-integer varmap annotation: {' '.join(tokens)}")
         name = tokens[1]
@@ -179,7 +196,7 @@ def _parse_comment(line: str, varmaps: dict, line_no: int) -> None:
         if len(tokens) != 3:
             raise DimacsError(line_no, f"bad target annotation: {' '.join(tokens)}")
         try:
-            idx, value = int(tokens[1]), int(tokens[2])
+            idx, value = _integer(tokens[1]), _integer(tokens[2])
         except ValueError:
             raise DimacsError(line_no, f"non-integer target annotation: {' '.join(tokens)}")
         name = "target"
@@ -228,7 +245,7 @@ class _Literals(dict):
 
     def __missing__(self, token: str) -> int | None:
         try:
-            lit = int(token)
+            lit = _integer(token)
         except ValueError:
             lit = None
         else:
@@ -283,7 +300,7 @@ def parse_dimacs(text: str) -> Formula:
                 continue
         tokens.append(last)
         try:
-            pending += map(int, tokens)
+            pending += map(_integer, tokens)
         except ValueError:
             raise DimacsError(line_no, f"non-integer literal on line: {line.strip()!r}")
         while 0 in pending:

@@ -74,7 +74,7 @@ class Semiprime:
             raise ValueError(
                 f"{self.value} has {self.value.bit_length()} bits, expected {self.n_bits}"
             )
-        if abs(self.p.bit_length() - self.q.bit_length()) > 1:
+        if self.split not in factor_splits(self.n_bits):
             raise ValueError("factor bitlengths differ by more than one")
 
     @property

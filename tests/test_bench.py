@@ -2,10 +2,12 @@ import dataclasses
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satfactor import bench
 from satfactor.bench import (
     CSV_COLUMNS,
+    STRATEGIES,
     Dataset,
     ExperimentPlan,
     RunRecord,
@@ -19,7 +21,7 @@ from satfactor.bench import (
     solve_and_verify,
 )
 from satfactor.cnf import Status
-from satfactor.encoder import DecodeError, encode, spec_for
+from satfactor.encoder import ALGORITHMS, DecodeError, encode, spec_for
 from satfactor.numtheory import gen_semiprime
 
 EXTERNAL = f"{sys.executable} -m satfactor.cli solve"
@@ -257,3 +259,64 @@ class TestCsv:
         path.write_text("strategy,encoder\nmean,schoolbook\n")
         with pytest.raises(ValueError, match="n_bits"):
             load_csv(path)
+
+
+# every status, matched_target as None and 0, a 200-bit N, wall times whose
+# repr is short, tiny and long
+GOLDEN_DATASET = Dataset(
+    [
+        RunRecord(
+            "multi_target", "karatsuba", "embedded", 12, 2491, 7, Status.SAT, 12345.678901234567, 31, 58, 0,
+        ),
+        RunRecord("mean", "schoolbook", "external", 200, 2**199 + 1, 2**64 - 1, Status.UNKNOWN, 0.0, 0, 0),
+        RunRecord("min", "division", "embedded", 12, 4093, 3, Status.UNSAT, 1e-07, 1200, 2401, None),
+        RunRecord("trial_division", "schoolbook", "trial_division", 12, 2491, 0, Status.SAT, 0.5, 0, 0),
+    ],
+    "f00dfeed12345678",
+)
+
+GOLDEN_CSV = """\
+# plan=f00dfeed12345678
+strategy,encoder,solver,n_bits,N,solver_seed,status,wall_time_s,conflicts,decisions,matched_target
+multi_target,karatsuba,embedded,12,2491,7,SAT,12345.678901234567,31,58,0
+mean,schoolbook,external,200,803469022129495137770981046170581301261101496891396417650689,\
+18446744073709551615,UNKNOWN,0.0,0,0,
+min,division,embedded,12,4093,3,UNSAT,1e-07,1200,2401,
+trial_division,schoolbook,trial_division,12,2491,0,SAT,0.5,0,0,
+"""
+
+
+def test_csv_golden_text(tmp_path):
+    assert dataset_to_csv(GOLDEN_DATASET) == GOLDEN_CSV
+    path = tmp_path / "golden.csv"
+    path.write_text(GOLDEN_CSV)
+    assert load_csv(path) == GOLDEN_DATASET
+
+
+@st.composite
+def datasets(draw):
+    count = st.integers(min_value=0, max_value=2**256)
+    record = st.builds(
+        RunRecord,
+        strategy=st.sampled_from(STRATEGIES),
+        encoder=st.sampled_from(ALGORITHMS),
+        solver=st.sampled_from(["embedded", "external", "trial_division"]),
+        n_bits=count,
+        N=count,
+        solver_seed=count,
+        status=st.sampled_from(Status),
+        wall_time_s=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        conflicts=count,
+        decisions=count,
+        matched_target=st.none() | st.integers(min_value=0, max_value=9),
+    )
+    fingerprint = draw(st.text(alphabet="0123456789abcdef", max_size=16))
+    return Dataset(draw(st.lists(record, max_size=6)), fingerprint)
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets())
+def test_csv_round_trip_property(tmp_path_factory, dataset):
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    save_csv(dataset, path)
+    assert load_csv(path) == dataset

@@ -226,6 +226,13 @@ MALFORMED = {
     "repeated target annotation": (
         "p cnf 1 1\nc target 0 143\n1 0\nc target 0 35\n", 4, "repeated target annotation: target 0 35",
     ),
+    "underscore in a literal": ("p cnf 10 1\n1_0 0\n", 2, "non-integer literal on line: '1_0 0'"),
+    "underscore in the terminator": ("p cnf 2 1\n1 2 0_0\n", 2, "non-integer literal on line: '1 2 0_0'"),
+    "non-ASCII digit": ("p cnf 1 1\n\u0661 0\n", 2, "non-integer literal on line: '\u0661 0'"),
+    "underscore in a header count": ("p cnf 1_0 1\n1 0\n", 1, "malformed header: 'p cnf 1_0 1'"),
+    "underscore in a varmap annotation": (
+        "c varmap p 0 1_0\np cnf 10 1\n1 0\n", 1, "non-integer varmap annotation: varmap p 0 1_0",
+    ),
 }
 
 # the odd forms that parse: (text, formula)
@@ -324,11 +331,12 @@ def test_dimacs_round_trip_property(formula):
 
 @st.composite
 def clause_lists(draw):
-    """A variable count and clauses of literals in range that may repeat a
-    variable, within a clause or negated."""
+    """A variable count and clauses, as lists or tuples, of literals in range
+    that may repeat a variable, within a clause or negated."""
     num_vars = draw(st.integers(min_value=1, max_value=6))
     lit = st.integers(min_value=-num_vars, max_value=num_vars).filter(bool)
-    return num_vars, draw(st.lists(st.lists(lit, min_size=1, max_size=4).map(tuple), max_size=8))
+    clause = st.lists(lit, min_size=1, max_size=4)
+    return num_vars, draw(st.lists(clause | clause.map(tuple), max_size=8))
 
 
 @settings(max_examples=300, deadline=None)

@@ -114,6 +114,11 @@ class TestGenSemiprime:
         with pytest.raises(ValueError):
             Semiprime(value=15, p=3, q=5, n_bits=5)
 
+    def test_unbalanced_factors_rejected(self):
+        # 2 has 2 bits and 131 has 8: no split of a 9-bit product
+        with pytest.raises(ValueError, match="factor bitlengths differ by more than one"):
+            Semiprime(value=262, p=2, q=131, n_bits=9)
+
 
 class TestFactorSplits:
     def test_even(self):
