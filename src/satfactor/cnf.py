@@ -333,36 +333,40 @@ def parse_solver_output(text: str) -> tuple[Status, Assignment | None]:
 
     Recognizes ``s SATISFIABLE`` / ``s UNSATISFIABLE`` status lines and
     ``v`` lines of signed literals terminated by 0.  A SAT claim without a
-    0-terminated model is downgraded to UNKNOWN with a warning.
+    0-terminated model is downgraded to UNKNOWN with a warning.  Raises
+    :class:`DimacsError` with a line number for a ``v`` token that is no
+    DIMACS integer, a variable given both signs, a literal after the
+    terminating 0, or two different ``s`` verdicts.
     """
-    status = Status.UNKNOWN
-    model_lits: list[int] = []
+    verdict = None
+    model: Assignment = {}
     model_complete = False
-    for line in text.splitlines():
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line.startswith("s "):
-            verdict = line[2:].strip()
-            if verdict == "SATISFIABLE":
-                status = Status.SAT
-            elif verdict == "UNSATISFIABLE":
-                status = Status.UNSAT
+            said = line[2:].strip()
+            if verdict not in (None, said):
+                raise DimacsError(line_no, f"second verdict {said!r} after {verdict!r}")
+            verdict = said
         elif line.startswith("v ") or line == "v":
             for token in line[1:].split():
+                if model_complete:
+                    raise DimacsError(line_no, f"literal {token!r} after the terminating 0")
                 try:
-                    lit = int(token)
+                    lit = _integer(token)
                 except ValueError:
-                    continue
+                    raise DimacsError(line_no, f"non-integer model literal {token!r}")
                 if lit == 0:
                     model_complete = True
-                else:
-                    model_lits.append(lit)
+                elif model.setdefault(abs(lit), lit > 0) is not (lit > 0):
+                    raise DimacsError(line_no, f"variable {abs(lit)} given both signs")
 
-    if status is Status.SAT:
+    if verdict == "SATISFIABLE":
         if not model_complete:
             log.warning("solver claimed SAT but printed no 0-terminated model")
             return Status.UNKNOWN, None
-        return Status.SAT, {abs(lit): lit > 0 for lit in model_lits}
-    if status is Status.UNSAT:
+        return Status.SAT, model
+    if verdict == "UNSATISFIABLE":
         return Status.UNSAT, None
     return Status.UNKNOWN, None
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from pathlib import Path
 
-from .cnf import Assignment, Formula, Status, evaluate, parse_solver_output, write_dimacs
+from .cnf import Assignment, DimacsError, Formula, Status, evaluate, parse_solver_output, write_dimacs
 
 _VAL_FALSE = 0
 _VAL_TRUE = 1
@@ -49,7 +49,7 @@ class SolverSpawnError(SolverError):
 
 
 class SolverOutputError(SolverError):
-    """The external solver exited abnormally without a parseable verdict."""
+    """The external solver printed malformed output or a bad model, or failed without a verdict."""
 
 
 @dataclass
@@ -107,9 +107,9 @@ class _Cdcl:
         self.trail_lim: list[int] = []
         self.qhead = 0
 
-        self.learnts: list[list[int]] = []
-        self.clause_lbd: dict[int, int] = {}
-        self.clause_act: dict[int, float] = {}
+        # id(clause) -> [clause, lbd, activity] for each live learnt clause
+        # of two or more literals, in the order they were learnt.
+        self.learnts: dict[int, list] = {}
 
         self.conflicts = 0
         self.decisions = 0
@@ -280,14 +280,14 @@ class _Cdcl:
         p_lit = -1  # sentinel: consider every literal of the conflict clause
         idx = len(trail) - 1
         c = conflict
-        clause_act = self.clause_act
+        learnts = self.learnts
         activity = self.activity
         queued = self.queued
         var_inc = self.var_inc
         while True:
-            cid = id(c)
-            if cid in clause_act:
-                clause_act[cid] += 1.0
+            record = learnts.get(id(c))
+            if record is not None:
+                record[2] += 1.0
             for q in c:
                 if q == p_lit:
                     continue
@@ -342,56 +342,53 @@ class _Cdcl:
             self._assign(learnt[0], None)
             return
         self._attach(learnt)
-        self.learnts.append(learnt)
-        self.clause_lbd[id(learnt)] = lbd
-        self.clause_act[id(learnt)] = 0.0
+        self.learnts[id(learnt)] = [learnt, lbd, 0.0]
         self._assign(learnt[0], learnt)
 
     # -- learned clause deletion
 
     def _reduce_db(self) -> None:
-        locked = {
-            id(self.reason[lit >> 1])
-            for lit in self.trail
-            if self.reason[lit >> 1] is not None
-        }
-        keep: list[list[int]] = []
-        removable: list[list[int]] = []
-        for c in self.learnts:
-            cid = id(c)
-            if self.clause_lbd[cid] <= _CORE_LBD or cid in locked:
-                keep.append(c)
+        reason = self.reason
+        keep: list[list] = []
+        removable: list[list] = []
+        for record in self.learnts.values():
+            c = record[0]
+            # c can be the reason only of c[0], the literal it implied
+            if record[1] <= _CORE_LBD or reason[c[0] >> 1] is c:
+                keep.append(record)
             else:
-                removable.append(c)
-        removable.sort(key=lambda c: self.clause_act[id(c)])
+                removable.append(record)
+        removable.sort(key=lambda record: record[2])
         half = len(removable) // 2
-        for c in removable[:half]:
-            cid = id(c)
-            self._detach(c)
-            del self.clause_lbd[cid]
-            del self.clause_act[cid]
-        self.learnts = keep + removable[half:]
-
-    def _detach(self, c: list[int]) -> None:
-        for lit in (c[0], c[1]):
-            self.watches[lit] = [entry for entry in self.watches[lit] if entry[1] is not c]
+        # A clause is watched by its first two literals, so only their lists
+        # can hold a dropped clause; each is filtered once, in order.
+        dropped = {id(c) for c, _, _ in removable[:half]}
+        watches = self.watches
+        for lit in {lit for c, _, _ in removable[:half] for lit in c[:2]}:
+            watches[lit] = [entry for entry in watches[lit] if id(entry[1]) not in dropped]
+        self.learnts = {id(record[0]): record for record in keep + removable[half:]}
 
     # -- main loop
 
     def solve(self) -> SolveResult:
         start = time.perf_counter()
         cfg = self.cfg
-        if not self.ok:
-            return SolveResult(Status.UNSAT, None, 0, 0, 0, time.perf_counter() - start)
-
         restart_count = 0
         restart_limit = _RESTART_BASE * luby(1)
         conflicts_since_restart = 0
         reduce_interval = _REDUCE_START
         next_reduce = _REDUCE_START
-        status = None
+        status = None if self.ok else Status.UNSAT
 
         while status is None:
+            # Each pass but a restart adds one conflict or one decision.
+            if (
+                cfg.time_limit is not None
+                and (self.conflicts + self.decisions) & _TIME_CHECK_MASK == 0
+                and time.perf_counter() - start > cfg.time_limit
+            ):
+                status = Status.UNKNOWN
+                break
             conflict = self._propagate()
             if conflict is not None:
                 self.conflicts += 1
@@ -407,13 +404,6 @@ class _Cdcl:
                 if cfg.conflict_limit is not None and self.conflicts >= cfg.conflict_limit:
                     status = Status.UNKNOWN
                     break
-                if (
-                    cfg.time_limit is not None
-                    and self.conflicts & _TIME_CHECK_MASK == 0
-                    and time.perf_counter() - start > cfg.time_limit
-                ):
-                    status = Status.UNKNOWN
-                    break
                 if self.conflicts >= next_reduce:
                     self._reduce_db()
                     reduce_interval = int(reduce_interval * _REDUCE_GROWTH)
@@ -426,14 +416,6 @@ class _Cdcl:
                 conflicts_since_restart = 0
                 self._backtrack(0)
                 continue
-
-            if (
-                cfg.time_limit is not None
-                and self.decisions & 0x3FF == 0
-                and time.perf_counter() - start > cfg.time_limit
-            ):
-                status = Status.UNKNOWN
-                break
 
             var = self._pick_branch_var()
             if var is None:
@@ -508,7 +490,10 @@ def solve_external(cmd_template: str, formula: Formula, time_limit: float | None
                 proc.communicate()
                 return SolveResult(Status.UNKNOWN, None, 0, 0, 0, time.perf_counter() - start)
         wall = time.perf_counter() - start
-    status, assignment = parse_solver_output(stdout)
+    try:
+        status, assignment = parse_solver_output(stdout)
+    except DimacsError as exc:
+        raise SolverOutputError(f"{argv[0]!r} printed malformed output: {exc}") from exc
     if status is Status.UNKNOWN and proc.returncode not in (0, 10, 20):
         raise SolverOutputError(
             f"{argv[0]!r} exited with code {proc.returncode} and no verdict"

@@ -121,6 +121,19 @@ class TestRunExperiment:
         assert len(dataset.records) == 1
         assert dataset.records[0].status is Status.UNKNOWN
 
+    def test_malformed_external_output_recorded_not_raised(self, tmp_path, caplog):
+        script = tmp_path / "malformed.py"
+        script.write_text("print('s SATISFIABLE')\nprint('v 1 -1 0')\n")
+        plan = tiny_plan(
+            bitlengths=(10,), semiprimes_per_n=1, seeds_per_instance=1,
+            solver="external", external_cmd=f"{sys.executable} {script}",
+        )
+        dataset = run_experiment(plan)
+        assert len(dataset.records) == 1
+        assert dataset.records[0].status is Status.UNKNOWN
+        assert "external solver failed on n=10" in caplog.text
+        assert "malformed output: line 2: variable 1 given both signs" in caplog.text
+
     def test_external_solver_round_trip(self):
         plan = tiny_plan(
             bitlengths=(10,), semiprimes_per_n=2, seeds_per_instance=1,

@@ -184,6 +184,13 @@ class TestFactor:
         assert code == EXIT_RUNTIME
         assert "error" in err
 
+    def test_external_solver_malformed_output(self, capsys, tmp_path):
+        script = tmp_path / "malformed.py"
+        script.write_text("print('s SATISFIABLE')\nprint('v 1 0 2 0')\n")
+        code, _, err = run(capsys, "factor", "--n", "143", "--solver-cmd", f"{sys.executable} {script}")
+        assert code == EXIT_RUNTIME
+        assert "malformed output: line 2: literal '2' after the terminating 0" in err
+
 
 class TestBenchAnalyzeEstimate:
     def test_pipeline(self, capsys, tmp_path):

@@ -462,6 +462,30 @@ class TestParseSolverOutput:
         _, assignment = parse_solver_output("s SATISFIABLE\nv 5 -9 0\n")
         assert set(assignment) == {5, 9}
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("s SATISFIABLE\nv 1_0 -2 0\n", "line 2: non-integer model literal '1_0'"),
+            ("s SATISFIABLE\nv 1 -2 x 0\n", "line 2: non-integer model literal 'x'"),
+            ("s SATISFIABLE\nv 1 2\nv -1 0\n", "line 3: variable 1 given both signs"),
+            ("s SATISFIABLE\nv 1 0 2 0\n", "line 2: literal '2' after the terminating 0"),
+            ("s SATISFIABLE\nv 1 0\nv 2\n", "line 3: literal '2' after the terminating 0"),
+            (
+                "s SATISFIABLE\nv 1 0\ns UNSATISFIABLE\n",
+                "line 3: second verdict 'UNSATISFIABLE' after 'SATISFIABLE'",
+            ),
+        ],
+        ids=["underscore", "non-integer", "both-signs", "after-0", "after-0-next-line", "two-verdicts"],
+    )
+    def test_malformed_output_rejected(self, text, message):
+        with pytest.raises(DimacsError) as info:
+            parse_solver_output(text)
+        assert str(info.value) == message
+
+    def test_repeated_verdict_and_literal_accepted(self):
+        text = "s SATISFIABLE\nv 1 1 -2 0\ns SATISFIABLE\n"
+        assert parse_solver_output(text) == (Status.SAT, {1: True, 2: False})
+
 
 class TestEvaluate:
     def test_nand_satisfying(self):

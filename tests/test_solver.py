@@ -250,6 +250,34 @@ class TestLimits:
         result = solve(formula, SolverConfig(seed=0, conflict_limit=10**6, time_limit=60.0))
         assert result.status is Status.SAT
 
+    def test_time_limit_stops_mid_search(self):
+        formula, _ = encode(spec_for([33554467], split=(13, 13)))
+        result = solve(formula, SolverConfig(seed=1, time_limit=0.2))
+        assert result.status is Status.UNKNOWN
+        assert result.conflicts > 0  # the clock was read in mid-search, not only at the start
+        assert result.wall_time < 2.0
+
+
+class TestClauseDeletion:
+    def test_watches_hold_only_live_clauses(self, monkeypatch):
+        # 21-bit prime; without the patch no reduction runs and the search
+        # takes 901 conflicts
+        monkeypatch.setattr("satfactor.solver._REDUCE_START", 100)
+        formula, _ = encode(spec_for([2097143], split=(11, 11)))
+        cdcl = _Cdcl(formula, SolverConfig(seed=1))
+        inputs = {id(c) for ws in cdcl.watches for _, c in ws}
+        result = cdcl.solve()
+        assert (result.status.name, result.conflicts, result.decisions, result.propagations) == (
+            "UNSAT", 924, 1233, 94646,
+        )
+        holders = {}  # id(clause) -> the literals whose watch lists hold it
+        for lit, ws in enumerate(cdcl.watches):
+            for _, c in ws:
+                holders.setdefault(id(c), []).append(lit)
+        assert holders.keys() <= inputs | cdcl.learnts.keys()
+        for cid, (c, _, _) in cdcl.learnts.items():
+            assert holders[cid] == sorted(c[:2])
+
 
 def _running(pid):
     """True while ``pid`` exists and is not a zombie awaiting its reaper."""
@@ -338,6 +366,20 @@ class TestSolveExternal:
         )
         result = solve_external(f"{sys.executable} {script}", Formula(1, [(1,)]))
         assert result.status is Status.SAT
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ("v 1 0", "leaves 1 formula variables unassigned"),
+            ("v 1 -2 0", "external model does not satisfy the formula"),
+            ("v 1 -1 0", "printed malformed output: line 2: variable 1 given both signs"),
+        ],
+    )
+    def test_bad_model_rejected(self, tmp_path, model, message):
+        script = tmp_path / "liar.py"
+        script.write_text(f"print('s SATISFIABLE')\nprint({model!r})\n")
+        with pytest.raises(SolverOutputError, match=message):
+            solve_external(f"{sys.executable} {script}", Formula(2, [(1,), (2,)]))
 
     def test_comment_only_output_unknown(self, tmp_path):
         script = tmp_path / "quiet.py"
