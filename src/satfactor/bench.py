@@ -18,7 +18,6 @@ import json
 import logging
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 from .cnf import Formula, Status, VarMap
@@ -221,6 +220,9 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> Dataset:
                         seed = derive_seed(plan.master_seed, "solver", n, i, j)
                         tasks.append((plan, n, [s], seed))
         if workers > 1:
+            # imported only here: the process pool costs every other run its import time
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(_solve_task, tasks, chunksize=1))
         else:

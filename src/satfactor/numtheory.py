@@ -12,9 +12,23 @@ import math
 import random
 from dataclasses import dataclass
 
-# Deterministic Miller-Rabin witnesses for all inputs below 3.3 * 10^24
-# (covers the full 64-bit range).
+# Deterministic Miller-Rabin witnesses, smallest set first.  Below each bound
+# the strong-probable-prime test to the first k prime bases is exact: the
+# bound is the least composite that passes all k of them (Jaeschke, "On strong
+# pseudoprimes to several bases", Math. Comp. 61, 1993; k = 9 by Jiang & Deng,
+# Math. Comp. 83, 2014).  The 13-base row covers the full 64-bit range.
 _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_TABLE = (
+    (2_047, _SMALL_WITNESSES[:1]),
+    (1_373_653, _SMALL_WITNESSES[:2]),
+    (25_326_001, _SMALL_WITNESSES[:3]),
+    (3_215_031_751, _SMALL_WITNESSES[:4]),
+    (2_152_302_898_747, _SMALL_WITNESSES[:5]),
+    (3_474_749_660_383, _SMALL_WITNESSES[:6]),
+    (341_550_071_728_321, _SMALL_WITNESSES[:7]),
+    (3_825_123_056_546_413_051, _SMALL_WITNESSES[:9]),
+    (1 << 64, _SMALL_WITNESSES),
+)
 _RANDOM_ROUNDS = 64
 
 
@@ -30,12 +44,30 @@ def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
     return False
 
 
+def _witnesses(x: int):
+    """Miller-Rabin bases for odd x > 37: the smallest proven set below 2^64,
+    else 64 pseudo-random bases drawn from a generator seeded by x itself."""
+    for bound, bases in _WITNESS_TABLE:
+        if x < bound:
+            return bases
+    rng = random.Random(x)
+    return [rng.randrange(2, x - 1) for _ in range(_RANDOM_ROUNDS)]
+
+
+def _strong_probable_prime(x: int, bases) -> bool:
+    """True when no base in ``bases`` witnesses the odd number x > 2 composite."""
+    d, r = x - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    return all(_miller_rabin_round(x, a, d, r) for a in bases if a % x != 0)
+
+
 def is_prime(x: int) -> bool:
     """Miller-Rabin primality test.
 
-    Deterministic below 2^64 via a fixed witness set; above that, 64
-    pseudo-random bases drawn from a generator seeded by x itself keep the
-    answer reproducible while bounding the error below 4^-64.
+    Exact below 2^64, with the witness set sized to x; above that, 64
+    reproducible pseudo-random bases bound the error below 4^-64.
     """
     if x < 2:
         return False
@@ -44,16 +76,7 @@ def is_prime(x: int) -> bool:
             return True
         if x % p == 0:
             return False
-    d, r = x - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    if x < 1 << 64:
-        bases = _SMALL_WITNESSES
-    else:
-        rng = random.Random(x)
-        bases = [rng.randrange(2, x - 1) for _ in range(_RANDOM_ROUNDS)]
-    return all(_miller_rabin_round(x, a, d, r) for a in bases if a % x != 0)
+    return _strong_probable_prime(x, _witnesses(x))
 
 
 @dataclass(frozen=True)
@@ -209,13 +232,30 @@ SEMIPRIME_CSV_HEADER = ["n_bits", "N", "p", "q"]
 
 
 def load_semiprimes_csv(path) -> list[Semiprime]:
+    """Read a ``gen`` CSV; a malformed row raises ValueError naming its line.
+
+    The factors are checked prime here, where the rows enter the program:
+    ``Semiprime`` itself trusts them, since ``gen_semiprime`` has already
+    proved its factors prime.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != SEMIPRIME_CSV_HEADER:
             raise ValueError(f"expected header {SEMIPRIME_CSV_HEADER}, got {header}")
-        return [
-            Semiprime(value=int(row[1]), p=int(row[2]), q=int(row[3]), n_bits=int(row[0]))
-            for row in reader
-            if row
-        ]
+        semiprimes = []
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(SEMIPRIME_CSV_HEADER):
+                raise ValueError(f"{where}: expected {len(SEMIPRIME_CSV_HEADER)} fields, got {len(row)}")
+            try:
+                n_bits, value, p, q = map(int, row)
+                for factor in (p, q):
+                    if not is_prime(factor):
+                        raise ValueError(f"factor {factor} is not prime")
+                semiprimes.append(Semiprime(value=value, p=p, q=q, n_bits=n_bits))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+        return semiprimes

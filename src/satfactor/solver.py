@@ -14,16 +14,10 @@ loop free of sign juggling.
 
 from __future__ import annotations
 
-import os
 import random
-import shlex
-import signal
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from pathlib import Path
 
 from .cnf import Assignment, DimacsError, Formula, Status, evaluate, parse_solver_output, write_dimacs
 
@@ -460,6 +454,16 @@ def solve_external(cmd_template: str, formula: Formula, time_limit: float | None
     session, so a timeout kills its whole process group (a shell wrapper's
     children included) and yields UNKNOWN.
     """
+    # Imported here, not at module level: only this adapter starts processes,
+    # and every import of the package (each ``satfactor solve`` run among them)
+    # would otherwise pay for loading subprocess and tempfile.
+    import os
+    import shlex
+    import signal
+    import subprocess
+    import tempfile
+    from pathlib import Path
+
     if time_limit is not None and time_limit <= 0:
         return SolveResult(Status.UNKNOWN, None, 0, 0, 0, 0.0)
     argv = shlex.split(cmd_template)

@@ -279,15 +279,19 @@ print(json.dumps(codes))
 """
 
 
+def _python_with_package(*args, timeout=300):
+    """Run a fresh interpreter that imports this checkout's satfactor."""
+    pythonpath = [str(Path(satfactor.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 class TestWithoutNumpy:
     def test_bench_and_analyze(self, tmp_path):
-        pythonpath = [str(Path(satfactor.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
         dataset = tmp_path / "results.csv"
-        proc = subprocess.run(
-            [sys.executable, "-c", WITHOUT_NUMPY, str(dataset)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        proc = _python_with_package("-c", WITHOUT_NUMPY, str(dataset))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK] * 4
         fit = json.loads((tmp_path / "results.csv.fit.json").read_text())
@@ -321,3 +325,17 @@ class TestUsage:
         code, _, err = run(capsys, "factor", "--n", "143", "--split", "2,x")
         assert code == EXIT_USAGE
         assert "bad split" in err
+
+
+# The CI bare-install job runs the same line against the installed package.
+LEAN_IMPORT = (
+    "import sys, satfactor.cli, satfactor.bench, satfactor.analysis; "
+    "heavy = sorted({'concurrent.futures', 'subprocess'} & set(sys.modules)); "
+    "sys.exit(f'imported at start-up: {heavy}' if heavy else 0)"
+)
+
+
+def test_process_machinery_not_imported_at_start_up():
+    # only bench's workers > 1 branch and solve_external start processes
+    proc = _python_with_package("-c", LEAN_IMPORT, timeout=60)
+    assert proc.returncode == 0, proc.stderr

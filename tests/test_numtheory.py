@@ -1,5 +1,9 @@
+import math
+import random
+
 import pytest
 
+from satfactor import numtheory
 from satfactor.bench import generate_instances
 from satfactor.cli import main
 from satfactor.numtheory import (
@@ -41,9 +45,10 @@ class TestIsPrime:
         assert is_prime(2)
 
     def test_carmichael_number_is_composite(self):
-        # 561 = 3 * 11 * 17 fools Fermat tests; oracle: trial division
-        assert not trial_division_is_prime(561)
-        assert not is_prime(561)
+        # 561 = 3 * 11 * 17, 1105 and 1729 fool Fermat tests; oracle: trial division
+        for x in (561, 1105, 1729):
+            assert not trial_division_is_prime(x)
+            assert not is_prime(x)
 
     def test_mersenne_prime_m61(self):
         # primality of 2^61 - 1 established offline by trial division
@@ -70,6 +75,112 @@ class TestIsPrime:
         assert not is_prime(1)
         assert is_prime(3)
         assert not is_prime(4)
+
+
+def thirteen_base_is_prime(x):
+    """The rule before the witness table: every odd x > 37 below 2^64 gets all
+    13 bases (exact for all x < 3.3 * 10^24)."""
+    if x < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if x == p:
+            return True
+        if x % p == 0:
+            return False
+    return numtheory._strong_probable_prime(x, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+
+
+# psi_k, the least strong pseudoprime to all of the first k prime bases
+# (Jaeschke 1993; Jiang & Deng 2014), and its composition.
+PSEUDOPRIME_BOUNDS = {
+    2_047: (23, 89),
+    1_373_653: (829, 1657),
+    25_326_001: (2251, 11251),
+    3_215_031_751: (151, 751, 28351),
+    2_152_302_898_747: (6763, 10627, 29947),
+    3_474_749_660_383: (1303, 16927, 157543),
+    341_550_071_728_321: (10670053, 32010157),
+    3_825_123_056_546_413_051: (149491, 747451, 34233211),
+}
+
+
+class TestWitnessTable:
+    def test_bounds_are_the_table_rows(self):
+        bounds = [bound for bound, _ in numtheory._WITNESS_TABLE]
+        assert bounds == sorted(PSEUDOPRIME_BOUNDS) + [1 << 64]
+        assert numtheory._WITNESS_TABLE[-1][1] == numtheory._SMALL_WITNESSES
+
+    def test_each_bound_fools_its_own_row(self):
+        # the rows are tight: each bound is a composite that its own row's bases pass
+        for bound, bases in numtheory._WITNESS_TABLE[:-1]:
+            factors = PSEUDOPRIME_BOUNDS[bound]
+            assert math.prod(factors) == bound and all(map(trial_division_is_prime, factors))
+            assert numtheory._strong_probable_prime(bound, bases)
+
+    @pytest.mark.parametrize("bound", sorted(PSEUDOPRIME_BOUNDS))
+    def test_each_bound_is_rejected(self, bound):
+        # the witnesses chosen for the bound itself, without the trial
+        # division that already catches 2047 = 23 * 89
+        assert not numtheory._strong_probable_prime(bound, numtheory._witnesses(bound))
+        assert not is_prime(bound)
+
+    def test_agrees_with_thirteen_bases_in_every_band(self):
+        rng = random.Random(14)
+        lower = 41
+        for bound, _ in numtheory._WITNESS_TABLE:
+            sample = [rng.randrange(lower, bound) | 1 for _ in range(400)]
+            assert [is_prime(x) for x in sample] == [thirteen_base_is_prime(x) for x in sample]
+            assert any(map(is_prime, sample))
+            lower = bound
+
+    def test_agrees_with_thirteen_bases_around_every_bound(self):
+        for bound, _ in numtheory._WITNESS_TABLE:
+            for x in range(bound - 64, bound + 65):
+                assert is_prime(x) == thirteen_base_is_prime(x), x
+
+    def test_rejects_products_of_two_primes(self):
+        # the composites that survive trial division by the small primes
+        rng = random.Random(15)
+        for bound, _ in numtheory._WITNESS_TABLE[1:]:
+            bits = bound.bit_length() // 2
+            for _ in range(50):
+                p, q = numtheory._random_prime(rng, bits), numtheory._random_prime(rng, bits)
+                assert not is_prime(p * q) and not thirteen_base_is_prime(p * q)
+
+
+# Recorded before the witness table replaced the fixed 13 bases: the
+# generated semi-primes, and so every benchmark input, are unchanged.
+GOLDEN_INSTANCES_18 = {
+    0: [(141343, 281, 503), (136921, 269, 509), (186521, 383, 487), (143863, 293, 491)],
+    1: [(146171, 313, 467), (225481, 463, 487), (158299, 311, 509), (151117, 349, 433)],
+    7: [(134599, 281, 479), (219379, 431, 509), (154421, 307, 503), (234649, 461, 509)],
+}
+GOLDEN_SEMIPRIMES = {
+    (21, 0): (1854871, 1289, 1439),
+    (21, 1): (1920857, 1297, 1481),
+    (21, 2): (1717759, 1061, 1619),
+    (32, 0): (2720835599, 46549, 58451),
+    (32, 1): (2327495491, 47497, 49003),
+    (32, 2): (3699019039, 60589, 61051),
+    (64, 0): (13468607541720728743, 3191005427, 4220803709),
+    (64, 1): (13041746625324834979, 3601004831, 3621696509),
+    (64, 2): (10087574245964116751, 2510587939, 4018012709),
+    (128, 0): (171669321418096957989577502362120619503, 12525794619251900933, 13705263948224456291),
+    (128, 1): (269922358444133476260216789752713263191, 16241876145996433577, 16618914958951241983),
+    (128, 2): (306330374418015889550313178507666058011, 17157723425194070491, 17853789038713974721),
+}
+
+
+class TestGoldenGeneration:
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_INSTANCES_18))
+    def test_generate_instances(self, seed):
+        found = [(s.value, s.p, s.q) for s in generate_instances(18, 4, seed)]
+        assert found == GOLDEN_INSTANCES_18[seed]
+
+    @pytest.mark.parametrize("n_bits, seed", sorted(GOLDEN_SEMIPRIMES))
+    def test_gen_semiprime(self, n_bits, seed):
+        s = gen_semiprime(n_bits, seed)
+        assert (s.value, s.p, s.q) == GOLDEN_SEMIPRIMES[n_bits, seed]
 
 
 class TestGenSemiprime:
@@ -233,3 +344,24 @@ def test_semiprime_csv_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
         load_semiprimes_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("8,143,11", "line 3: expected 4 fields, got 3"),
+        ("8,143,11,13,0", "line 3: expected 4 fields, got 5"),
+        ("8,225,15,15", "line 3: factor 15 is not prime"),
+        ("8,143,1,143", "line 3: factor 1 is not prime"),
+        ("8,14x,11,13", "line 3: invalid literal"),
+        ("9,143,11,13", "line 3: 143 has 8 bits, expected 9"),
+    ],
+)
+def test_semiprime_csv_bad_row(tmp_path, capsys, row, message):
+    path = tmp_path / "targets.csv"
+    path.write_text(f"n_bits,N,p,q\n6,35,5,7\n{row}\n")
+    with pytest.raises(ValueError, match=message):
+        load_semiprimes_csv(path)
+    assert main(["encode", "--targets", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 3: ") and message in err
