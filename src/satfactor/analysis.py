@@ -11,7 +11,6 @@ L_N[1/3, (64/9)^(1/3)] with the o(1) term dropped.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import logging
 import math
@@ -298,11 +297,7 @@ def per_bitlength_median(points: list[tuple[int, int, float]]) -> list[tuple[int
     ]
 
 
-def write_curve_csv(path, curve: list[tuple[int, float]], fit: FitResult) -> None:
-    """Curve rows: bitlength, measured statistic, fitted seconds."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n_bits", "stat_seconds", "fit_seconds"])
-        for n_bits, seconds in curve:
-            fitted = 2.0 ** (fit.slope * n_bits + fit.intercept)
-            writer.writerow([n_bits, repr(seconds), repr(fitted)])
+def curve_csv(curve: list[tuple[int, float]], fit: FitResult) -> str:
+    """Curve CSV rows: bitlength, measured statistic, fitted seconds."""
+    rows = [f"{n},{t!r},{2.0 ** (fit.slope * n + fit.intercept)!r}\n" for n, t in curve]
+    return "n_bits,stat_seconds,fit_seconds\n" + "".join(rows)

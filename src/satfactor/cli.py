@@ -13,11 +13,10 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from dataclasses import asdict
 
 from . import analysis, bench, numtheory
-from .cnf import Status, parse_dimacs, unit_propagate, write_dimacs
+from .cnf import Status, parse_dimacs, unit_propagate, write_dimacs, write_solver_output
 from .encoder import ALGORITHMS, EncodeSpec, encode, spec_for
 from .numtheory import factor_splits, gen_semiprime, metrics, trial_division, MetricVector
 from .solver import SolverConfig, solve
@@ -40,20 +39,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_output(path: str | None, text: str) -> None:
-    """Write to stdout, or atomically to a file."""
+    """Write to stdout for None or "-"; else replace the file atomically
+    through a sibling temporary file, created with the umask's mode."""
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".satfactor-")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    handle = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
+
+
+def _write_json(path: str | None, report) -> None:
+    _write_output(path, json.dumps(report, indent=2) + "\n")
 
 
 def _parse_bits(text: str) -> list[int]:
@@ -93,12 +96,9 @@ def cmd_gen(args) -> int:
         raise _UsageError("--count must be >= 1")
     semiprimes = bench.generate_instances(args.bits, args.count, args.seed)
     if args.format == "json":
-        rows = [{"n_bits": s.n_bits, "N": s.value, "p": s.p, "q": s.q} for s in semiprimes]
-        _write_output(args.out, json.dumps(rows, indent=2) + "\n")
-        return EXIT_OK
-    lines = [",".join(numtheory.SEMIPRIME_CSV_HEADER)]
-    lines += [f"{s.n_bits},{s.value},{s.p},{s.q}" for s in semiprimes]
-    _write_output(args.out, "\n".join(lines) + "\n")
+        _write_json(args.out, numtheory.semiprime_records(semiprimes))
+    else:
+        _write_output(args.out, numtheory.semiprimes_to_csv(semiprimes))
     return EXIT_OK
 
 
@@ -130,21 +130,8 @@ def cmd_solve(args) -> int:
     with open(args.instance) as handle:
         formula = parse_dimacs(handle.read())
     result = solve(formula, SolverConfig(seed=args.seed, time_limit=args.time_limit))
-    if result.status is Status.SAT:
-        lits = [v if result.assignment[v] else -v for v in range(1, formula.num_vars + 1)]
-        print("s SATISFIABLE")
-        for i in range(0, len(lits), 12):
-            chunk = lits[i : i + 12]
-            end = " 0" if i + 12 >= len(lits) else ""
-            print("v " + " ".join(str(l) for l in chunk) + end)
-        if not lits:
-            print("v 0")
-        return EXIT_OK
-    if result.status is Status.UNSAT:
-        print("s UNSATISFIABLE")
-        return EXIT_OK
-    print("s UNKNOWN")
-    return EXIT_UNKNOWN
+    sys.stdout.write(write_solver_output(result.status, result.assignment))
+    return EXIT_UNKNOWN if result.status is Status.UNKNOWN else EXIT_OK
 
 
 def cmd_factor(args) -> int:
@@ -204,7 +191,7 @@ def _fit_from_dataset(path: str, stat: str):
 def cmd_analyze_fit(args) -> int:
     points, curve, fit = _fit_from_dataset(args.dataset, args.stat)
     if args.curve:
-        analysis.write_curve_csv(args.curve, curve, fit)
+        _write_output(args.curve, analysis.curve_csv(curve, fit))
     report = {
         **asdict(fit),
         "stat": args.stat,
@@ -215,7 +202,7 @@ def cmd_analyze_fit(args) -> int:
             "log2_intercept": analysis.DEFAULT_CLASSICAL_LOG2_INTERCEPT,
         },
     }
-    _write_output(args.out, json.dumps(report, indent=2) + "\n")
+    _write_json(args.out, report)
     return EXIT_OK
 
 
@@ -237,7 +224,7 @@ def cmd_analyze_community(args) -> int:
         "q": result.q,
         "hardness_band": list(analysis.HARDNESS_Q_BAND),
     }
-    _write_output(args.out, json.dumps(report, indent=2) + "\n")
+    _write_json(args.out, report)
     return EXIT_OK
 
 
@@ -264,24 +251,13 @@ def correlation_table(dataset: bench.Dataset, method: str = "pearson") -> dict:
         if not per_n:
             raise RuntimeError(f"metric {name} has no usable bitlength groups")
         mean_r = sum(per_n.values()) / len(per_n)
-        table[name] = {"per_bitlength": per_n, "mean_r": mean_r}
+        table[name] = {"mean_r": mean_r, "per_bitlength": per_n}
     return table
 
 
 def cmd_analyze_correlate(args) -> int:
-    dataset = bench.load_csv(args.dataset)
-    table = correlation_table(dataset, method=args.method)
-    report = {
-        "method": args.method,
-        "metrics": {
-            name: {
-                "mean_r": entry["mean_r"],
-                "per_bitlength": {str(k): v for k, v in entry["per_bitlength"].items()},
-            }
-            for name, entry in table.items()
-        },
-    }
-    _write_output(args.out, json.dumps(report, indent=2) + "\n")
+    table = correlation_table(bench.load_csv(args.dataset), method=args.method)
+    _write_json(args.out, {"method": args.method, "metrics": table})
     return EXIT_OK
 
 
@@ -297,7 +273,7 @@ def cmd_estimate(args) -> int:
         classical_rate=args.classical_rate,
         quantum_rate=args.quantum_rate,
     )
-    _write_output(args.out, json.dumps(asdict(estimate), indent=2) + "\n")
+    _write_json(args.out, asdict(estimate))
     return EXIT_OK
 
 

@@ -371,6 +371,20 @@ def parse_solver_output(text: str) -> tuple[Status, Assignment | None]:
     return Status.UNKNOWN, None
 
 
+def write_solver_output(status: Status, assignment: Assignment | None = None) -> str:
+    """SAT-competition output, the inverse of :func:`parse_solver_output`.
+
+    An ``s`` line, then for SAT the model in variable order as ``v`` lines
+    of up to 12 literals, the last ending in 0 (``v 0`` for an empty model).
+    """
+    if status is not Status.SAT:
+        return f"s {'UNSATISFIABLE' if status is Status.UNSAT else 'UNKNOWN'}\n"
+    lits = [str(v if assignment[v] else -v) for v in sorted(assignment)]
+    rows = [lits[i : i + 12] for i in range(0, len(lits), 12)] or [[]]
+    rows[-1].append("0")
+    return "s SATISFIABLE\n" + "".join(f"v {' '.join(row)}\n" for row in rows)
+
+
 def evaluate(formula: Formula, assignment: Assignment) -> bool:
     """True iff every clause has at least one satisfied literal.
 

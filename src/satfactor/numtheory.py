@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 # Deterministic Miller-Rabin witnesses, smallest set first.  Below each bound
 # the strong-probable-prime test to the first k prime bases is exact: the
@@ -211,7 +211,8 @@ class MetricVector:
     abs_diff: int
     log2_n: float
 
-    FIELDS = ("hw_n", "hw_p", "hw_q", "hw_pxq", "smooth_p1", "smooth_q1", "abs_diff", "log2_n")
+
+MetricVector.FIELDS = tuple(f.name for f in fields(MetricVector))
 
 
 def metrics(s: Semiprime) -> MetricVector:
@@ -229,6 +230,18 @@ def metrics(s: Semiprime) -> MetricVector:
 
 
 SEMIPRIME_CSV_HEADER = ["n_bits", "N", "p", "q"]
+
+
+def semiprime_records(semiprimes) -> list[dict]:
+    """Each semi-prime as ``{"n_bits", "N", "p", "q"}``: gen's JSON rows."""
+    return [dict(zip(SEMIPRIME_CSV_HEADER, (s.n_bits, s.value, s.p, s.q))) for s in semiprimes]
+
+
+def semiprimes_to_csv(semiprimes) -> str:
+    """The CSV that :func:`load_semiprimes_csv` reads: the header, then one
+    row per semi-prime."""
+    rows = [SEMIPRIME_CSV_HEADER] + [r.values() for r in semiprime_records(semiprimes)]
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def load_semiprimes_csv(path) -> list[Semiprime]:

@@ -15,12 +15,12 @@ from satfactor.analysis import (
     build_vig,
     cnm_communities,
     correlate,
+    curve_csv,
     estimate_costs,
     fit_exponential,
     modularity,
     nfs_log2_ops,
     per_bitlength_median,
-    write_curve_csv,
 )
 from satfactor.cnf import Formula, unit_propagate
 from satfactor.encoder import ALGORITHMS, encode, spec_for
@@ -512,11 +512,7 @@ class TestCurveHelpers:
         points = [(10, 1, 1.0), (10, 2, 3.0), (10, 3, 2.0), (12, 4, 5.0), (12, 5, 7.0)]
         assert per_bitlength_median(points) == [(10, 2.0), (12, 6.0)]
 
-    def test_write_curve_csv(self, tmp_path):
-        path = tmp_path / "curve.csv"
+    def test_curve_csv(self):
         fit = FitResult(slope=1.0, intercept=0.0, r2=1.0)
-        write_curve_csv(path, [(10, 1024.0)], fit)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n_bits,stat_seconds,fit_seconds"
-        n, stat, fitted = lines[1].split(",")
-        assert (int(n), float(stat), float(fitted)) == (10, 1024.0, 1024.0)
+        text = curve_csv([(10, 1024.0), (12, 0.1)], fit)
+        assert text == "n_bits,stat_seconds,fit_seconds\n10,1024.0,1024.0\n12,0.1,4096.0\n"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import satfactor
+from satfactor import bench
 from satfactor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_UNKNOWN, EXIT_USAGE, main
 from satfactor.cnf import parse_dimacs, parse_solver_output, Status
 from satfactor.encoder import decode
@@ -48,6 +50,52 @@ class TestGen:
         assert code == EXIT_OK
         assert out == ""
         assert path.read_text().startswith("n_bits,N,p,q")
+
+    def test_json_rows_match_csv(self, capsys):
+        argv = ["gen", "--bits", "14", "--count", "4", "--seed", "9"]
+        _, csv_text, _ = run(capsys, *argv)
+        code, json_text, _ = run(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        rows = json.loads(json_text)
+        assert all(list(row) == ["n_bits", "N", "p", "q"] for row in rows)
+        assert all(row["p"] * row["q"] == row["N"] for row in rows)
+        csv_rows = [list(map(int, line.split(","))) for line in csv_text.splitlines()[1:]]
+        assert [list(row.values()) for row in rows] == csv_rows
+
+
+class TestWriteOutput:
+    @pytest.fixture
+    def umask(self):
+        old = os.umask(0o027)
+        yield 0o027
+        os.umask(old)
+
+    def test_new_and_replaced_file_take_umask_mode(self, capsys, tmp_path, umask):
+        path = tmp_path / "semis.csv"
+        for _ in range(2):  # create, then replace
+            code, _, _ = run(capsys, "gen", "--bits", "10", "--out", str(path))
+            assert code == EXIT_OK
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert os.listdir(tmp_path) == ["semis.csv"]
+
+    def test_failed_write_leaves_no_temporary_file(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()  # a file cannot replace a directory
+        code, _, err = run(capsys, "gen", "--bits", "10", "--out", str(target))
+        assert code == EXIT_RUNTIME
+        assert err.startswith("error: ")
+        assert os.listdir(tmp_path) == ["taken"]
+        assert os.listdir(target) == []
+
+    def test_curve_to_stdout(self, capsys, tmp_path):
+        (tmp_path / "dataset.csv").write_text(GOLDEN_INPUTS["dataset.csv"])
+        code, out, _ = run(
+            capsys, "analyze", "fit", str(tmp_path / "dataset.csv"),
+            "--curve", "-", "--out", str(tmp_path / "fit.json"),
+        )
+        assert code == EXIT_OK
+        assert out.startswith("n_bits,stat_seconds,fit_seconds\n12,")
+        assert len(out.splitlines()) == 4
 
 
 class TestEncode:
@@ -330,12 +378,179 @@ class TestUsage:
 # The CI bare-install job runs the same line against the installed package.
 LEAN_IMPORT = (
     "import sys, satfactor.cli, satfactor.bench, satfactor.analysis; "
-    "heavy = sorted({'concurrent.futures', 'subprocess'} & set(sys.modules)); "
+    "heavy = sorted({'concurrent.futures', 'subprocess', 'tempfile', 'shutil', 'bz2', 'lzma'} "
+    "& set(sys.modules)); "
     "sys.exit(f'imported at start-up: {heavy}' if heavy else 0)"
 )
 
 
 def test_process_machinery_not_imported_at_start_up():
-    # only bench's workers > 1 branch and solve_external start processes
-    proc = _python_with_package("-c", LEAN_IMPORT, timeout=60)
+    # only bench's workers > 1 branch and solve_external start processes or
+    # make temporary files; -S keeps site packages from loading these first
+    proc = _python_with_package("-S", "-c", LEAN_IMPORT, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# Hand-written inputs for the golden-output cases: a dataset with three
+# bitlengths of four semi-primes each (one UNKNOWN row), a two-target CSV,
+# and three small instances; the SAT one has 14 variables, so its model
+# spans two v lines.
+GOLDEN_INPUTS = {
+    "dataset.csv": """\
+# plan=handwritten
+strategy,encoder,solver,n_bits,N,solver_seed,status,wall_time_s,conflicts,decisions,matched_target
+mean,schoolbook,embedded,12,2173,1,SAT,0.011,5,20,
+mean,schoolbook,embedded,12,2173,2,SAT,0.013,7,22,
+mean,schoolbook,embedded,12,2279,1,SAT,0.017,9,31,
+mean,schoolbook,embedded,12,2501,1,SAT,0.012,6,25,
+mean,schoolbook,embedded,12,3127,1,SAT,0.021,12,40,
+mean,schoolbook,embedded,14,8927,1,SAT,0.034,20,61,
+mean,schoolbook,embedded,14,9991,1,SAT,0.041,25,70,
+mean,schoolbook,embedded,14,9991,2,UNKNOWN,0.5,300,900,
+mean,schoolbook,embedded,14,10379,1,SAT,0.029,17,55,
+mean,schoolbook,embedded,14,10961,1,SAT,0.052,31,88,
+mean,schoolbook,embedded,16,33823,1,SAT,0.081,44,130,
+mean,schoolbook,embedded,16,37399,1,SAT,0.12,70,190,
+mean,schoolbook,embedded,16,45431,1,SAT,0.095,52,150,
+mean,schoolbook,embedded,16,56153,1,SAT,0.14,81,230,
+""",
+    "targets.csv": "n_bits,N,p,q\n8,143,11,13\n8,221,13,17\n",
+    "sat.cnf": "p cnf 14 14\n" + "".join(f"{v if v % 3 else -v} 0\n" for v in range(1, 15)),
+    "unsat.cnf": "p cnf 1 2\n1 0\n-1 0\n",
+    "empty.cnf": "p cnf 0 0\n",
+}
+
+# Each case's command line, run in a directory holding GOLDEN_INPUTS; file
+# arguments are relative to it.  GOLDEN_DIGESTS pins the SHA-256 of stdout
+# and of each file the command writes; a bench dataset is hashed with its
+# measured wall_time_s column blanked.
+GOLDEN_CASES = {
+    "gen-csv": ["gen", "--bits", "16", "--count", "5", "--seed", "3"],
+    "gen-csv-out": ["gen", "--bits", "16", "--count", "5", "--seed", "3", "--out", "semis.csv"],
+    "gen-json": ["gen", "--bits", "16", "--count", "5", "--seed", "3", "--format", "json"],
+    "encode": ["encode", "--n", "143"],
+    "encode-targets": ["encode", "--targets", "targets.csv", "--out", "multi.cnf"],
+    "encode-fold": ["encode", "--n", "899", "--alg", "karatsuba", "--fold-constants"],
+    "solve-sat": ["solve", "sat.cnf"],
+    "solve-unsat": ["solve", "unsat.cnf"],
+    "solve-empty": ["solve", "empty.cnf"],
+    "factor": ["factor", "--n", "899", "--seed", "4"],
+    "factor-prime": ["factor", "--n", "61"],
+    "bench": ["bench", "--bits", "10,12", "--per-n", "2", "--seeds", "2", "--seed", "5", "--out", "bench.csv"],
+    "bench-trial-division": ["bench", "--bits", "10", "--per-n", "3", "--strategy", "trial_division"],
+    "fit": ["analyze", "fit", "dataset.csv", "--stat", "median", "--curve", "curve.csv", "--out", "fit.json"],
+    "fit-stdout": ["analyze", "fit", "dataset.csv"],
+    "community": ["analyze", "community", "--bits", "16", "--seed", "2"],
+    "community-simplified": ["analyze", "community", "--bits", "16", "--alg", "division", "--simplified"],
+    "correlate": ["analyze", "correlate", "dataset.csv"],
+    "correlate-spearman": ["analyze", "correlate", "dataset.csv", "--method", "spearman", "--out", "rho.json"],
+    "estimate": ["estimate", "--bits", "768"],
+    "estimate-model": ["estimate", "--bits", "256", "--slope", "0.5", "--intercept", "10", "--out", "est.json"],
+}
+
+GOLDEN_DIGESTS = {
+    "bench": {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bench.csv": "1bcfdef543e6fbf0461adbd83bf3ff333e13a17c0287f487ebee80e68713a9ae",
+    },
+    "bench-trial-division": {
+        "stdout": "bc96ce83f93c8691ba26a15cc18d47f486dabd2624d51c39a2c6ce43a98e36d6",
+    },
+    "community": {
+        "stdout": "ee23f166c14a1393dad73e9b99b15e581c54209818acf0a4b59abaf38eadc240",
+    },
+    "community-simplified": {
+        "stdout": "32fba512e4c3aae3771fda7f4c4c8c9a2403ff9597ae42aa053c0fb9c80bab12",
+    },
+    "correlate": {
+        "stdout": "aa73af5deb74ea36af8f4fb61ad10c6bd755f3b02183a41842b36aca3e5ac6c7",
+    },
+    "correlate-spearman": {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "rho.json": "fd2812ac39fdfd284b074d854d251f2dd7fb07900d3f9fc180060105f0b2fb79",
+    },
+    "encode": {
+        "stdout": "53d6a7016ac882e91a145a3817e9cd11a03519028c278aadfe452780178db0f5",
+    },
+    "encode-fold": {
+        "stdout": "4d04df2a459dccb52b28c4387e4ef813c64b417b9b414889ff63d82d4200e6ab",
+    },
+    "encode-targets": {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "multi.cnf": "3229579746dee6daa5260cd37bb7de8e969ba7978326378dbc90ac866bdf64ac",
+    },
+    "estimate": {
+        "stdout": "6fd854a452366f596b632bd397a779c4d2fdd2b6f7529c427a13e831fc3f4980",
+    },
+    "estimate-model": {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "est.json": "6bbb0abaefb01369e20411bb72c5c0f49b66d9243a101b0543ffe8330443c167",
+    },
+    "factor": {
+        "stdout": "f18a40df4c80545650cf6186bd6395bf3a1b8fb8c1852645a92dbf57352ca3f5",
+    },
+    "factor-prime": {
+        "stdout": "4f5afaee8f67d188824ba614837cde419c87b91c09e318782d42e2d6e39907d7",
+    },
+    "fit": {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "curve.csv": "65ecd5bf515de5384357765717bba0073e1201ce5bf1a5d99ecc0aae41a82e90",
+        "fit.json": "1974575ef27e9fdbe0b29fb07ef3d8336351e618bb750436be1e758f8bf81f24",
+    },
+    "fit-stdout": {
+        "stdout": "eb900f5d54163fc3971399bce023d6d55f94989666c66401ac1d427104067ec7",
+    },
+    "gen-csv": {
+        "stdout": "7c03a5b7074655ae08fadf37e774c28723855688233b41a3b2833c29ce87d58e",
+    },
+    "gen-csv-out": {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "semis.csv": "7c03a5b7074655ae08fadf37e774c28723855688233b41a3b2833c29ce87d58e",
+    },
+    "gen-json": {
+        "stdout": "4b8a90e2be7b9b0a8e2d75280df478454d7123575bdfd7d0099e32ae1089fe5a",
+    },
+    "solve-empty": {
+        "stdout": "6719b978661aaf7b573c8843223bc67c6418a3d83b3a3e70cb9b4cb748ebac9d",
+    },
+    "solve-sat": {
+        "stdout": "cd05d48145908161d14cda25ef898dfff33b9333f2c3fa15893ebacc5ce57a1d",
+    },
+    "solve-unsat": {
+        "stdout": "bde6e1eede96772c07c8ce29fd18088863815bd043aa59a06f11f5838cf8a162",
+    },
+}
+
+
+def _blank_wall_times(text):
+    column = bench.CSV_COLUMNS.index("wall_time_s")
+    lines = []
+    for line in text.splitlines(keepends=True):
+        fields = line.split(",")
+        if len(fields) == len(bench.CSV_COLUMNS) and fields[column] != "wall_time_s":
+            fields[column] = ""
+        lines.append(",".join(fields))
+    return "".join(lines)
+
+
+def _golden_outputs(capsys, tmp_path, monkeypatch, argv):
+    """Run one command in a directory of the golden inputs; return its exit
+    code and the SHA-256 of stdout and of every file it wrote."""
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv)
+    outputs = {"stdout": out}
+    for path in sorted(tmp_path.iterdir()):
+        if path.name not in GOLDEN_INPUTS:
+            outputs[path.name] = path.read_bytes().decode()
+    if argv[0] == "bench":
+        outputs = {name: _blank_wall_times(text) for name, text in outputs.items()}
+    return code, {name: hashlib.sha256(text.encode()).hexdigest() for name, text in outputs.items()}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_outputs(capsys, tmp_path, monkeypatch, case):
+    code, digests = _golden_outputs(capsys, tmp_path, monkeypatch, GOLDEN_CASES[case])
+    assert code == EXIT_OK
+    assert digests == GOLDEN_DIGESTS[case]

@@ -1,7 +1,7 @@
 import logging
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from satfactor.cnf import (
     CnfError,
@@ -18,6 +18,7 @@ from satfactor.cnf import (
     parse_solver_output,
     unit_propagate,
     write_dimacs,
+    write_solver_output,
 )
 from satfactor.encoder import ALGORITHMS, encode, spec_for
 from satfactor.numtheory import gen_semiprime
@@ -485,6 +486,54 @@ class TestParseSolverOutput:
     def test_repeated_verdict_and_literal_accepted(self):
         text = "s SATISFIABLE\nv 1 1 -2 0\ns SATISFIABLE\n"
         assert parse_solver_output(text) == (Status.SAT, {1: True, 2: False})
+
+
+class TestWriteSolverOutput:
+    @pytest.mark.parametrize(
+        "n_vars, v_lines",
+        [
+            (0, ["v 0"]),
+            (3, ["v 1 -2 3 0"]),
+            (12, ["v 1 -2 3 4 -5 6 7 -8 9 10 -11 12 0"]),
+            (13, ["v 1 -2 3 4 -5 6 7 -8 9 10 -11 12", "v 13 0"]),
+            (24, ["v 1 -2 3 4 -5 6 7 -8 9 10 -11 12", "v 13 -14 15 16 -17 18 19 -20 21 22 -23 24 0"]),
+        ],
+    )
+    def test_sat_lines(self, n_vars, v_lines):
+        model = {v: v % 3 != 2 for v in range(1, n_vars + 1)}
+        assert write_solver_output(Status.SAT, model) == "\n".join(["s SATISFIABLE", *v_lines]) + "\n"
+
+    def test_variable_order(self):
+        assert write_solver_output(Status.SAT, {9: False, 2: True}) == "s SATISFIABLE\nv 2 -9 0\n"
+
+    @pytest.mark.parametrize(
+        "status, text", [(Status.UNSAT, "s UNSATISFIABLE\n"), (Status.UNKNOWN, "s UNKNOWN\n")]
+    )
+    def test_no_model(self, status, text):
+        assert write_solver_output(status) == text
+
+
+def _full_models(n_vars):
+    return st.lists(st.booleans(), min_size=n_vars, max_size=n_vars).map(
+        lambda signs: dict(enumerate(signs, 1))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(Status),
+    st.one_of(
+        st.sampled_from([0, 12, 13, 24]).flatmap(_full_models),
+        st.dictionaries(st.integers(1, 10**6), st.booleans(), max_size=40),
+    ),
+)
+@example(Status.SAT, {})
+@example(Status.SAT, {v: v % 2 == 0 for v in range(1, 13)})
+@example(Status.SAT, {v: v % 2 == 0 for v in range(1, 14)})
+@example(Status.SAT, {v: v % 2 == 0 for v in range(1, 25)})
+def test_solver_output_round_trip(status, model):
+    model = model if status is Status.SAT else None
+    assert parse_solver_output(write_solver_output(status, model)) == (status, model)
 
 
 class TestEvaluate:

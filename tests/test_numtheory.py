@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satfactor import numtheory
 from satfactor.bench import generate_instances
@@ -16,6 +17,7 @@ from satfactor.numtheory import (
     largest_prime_factor,
     load_semiprimes_csv,
     metrics,
+    semiprimes_to_csv,
     trial_division,
 )
 
@@ -337,6 +339,15 @@ def test_semiprime_csv_round_trip(tmp_path):
     path = tmp_path / "semis.csv"
     assert main(["gen", "--bits", "12", "--count", "3", "--seed", "5", "--out", str(path)]) == 0
     assert load_semiprimes_csv(path) == generate_instances(12, 3, 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(4, 64), st.integers(0, 2**32)), max_size=6))
+def test_semiprimes_to_csv_round_trip(tmp_path_factory, picks):
+    semiprimes = [gen_semiprime(n_bits, seed) for n_bits, seed in picks]
+    path = tmp_path_factory.mktemp("csv") / "semis.csv"
+    path.write_text(semiprimes_to_csv(semiprimes))
+    assert load_semiprimes_csv(path) == semiprimes
 
 
 def test_semiprime_csv_bad_header(tmp_path):
