@@ -12,10 +12,11 @@ L_N[1/3, (64/9)^(1/3)] with the o(1) term dropped.
 from __future__ import annotations
 
 import itertools
+import json
 import logging
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from heapq import heapify, heappop, heappush
 
 from .cnf import Formula
@@ -263,20 +264,21 @@ def estimate_costs(
 ) -> QuantumEstimate:
     """Extrapolate solver cost at n_bits under a quadratic quantum speedup.
 
-    Without an explicit fit, the default operation-count constants
-    (slope 0.495, log2 intercept 16.8) are used.
+    A fit is log2 seconds, which ``classical_rate`` turns into operations; else the defaults apply.
     """
     if n_bits < 0:
         raise ValueError("n_bits must be >= 0")
     if classical_rate <= 0 or quantum_rate <= 0:
         raise ValueError("rates must be positive")
     slope = fit.slope if fit else DEFAULT_CLASSICAL_SLOPE
-    intercept = fit.intercept if fit else DEFAULT_CLASSICAL_LOG2_INTERCEPT
+    intercept = fit.intercept + math.log2(classical_rate) if fit else DEFAULT_CLASSICAL_LOG2_INTERCEPT
     classical_ops = intercept + slope * n_bits
     quantum_ops = classical_ops / 2.0
     classical_seconds = classical_ops - math.log2(classical_rate)
     quantum_seconds = quantum_ops - math.log2(quantum_rate)
     lifetimes_log2 = quantum_seconds - math.log2(UNIVERSE_LIFETIME_S)
+    if not lifetimes_log2 < 1024:  # 2.0 ** 1024 overflows a float
+        raise ValueError(f"universe lifetimes at {n_bits} bits exceed the float range")
     return QuantumEstimate(
         n_bits=n_bits,
         classical_log2_ops=classical_ops,
@@ -301,3 +303,30 @@ def curve_csv(curve: list[tuple[int, float]], fit: FitResult) -> str:
     """Curve CSV rows: bitlength, measured statistic, fitted seconds."""
     rows = [f"{n},{t!r},{2.0 ** (fit.slope * n + fit.intercept)!r}\n" for n, t in curve]
     return "n_bits,stat_seconds,fit_seconds\n" + "".join(rows)
+
+
+def fit_report(fit: FitResult, curve: list[tuple[int, float]], stat: str, n_points: int) -> dict:
+    """The JSON of ``analyze fit``: the fit in log2 seconds and its curve."""
+    reference = {"slope": DEFAULT_CLASSICAL_SLOPE, "log2_intercept": DEFAULT_CLASSICAL_LOG2_INTERCEPT}
+    return {
+        **asdict(fit),
+        "stat": stat,
+        "per_instance_points": n_points,
+        "curve": [{"n_bits": n, "seconds": t} for n, t in curve],
+        "reference_ops_model": reference,
+    }
+
+
+def load_fit(path: str) -> FitResult:
+    """The fit of a :func:`fit_report` file; a bad field is a ValueError naming the file."""
+    with open(path) as handle:
+        try:
+            report = json.load(handle, parse_int=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not JSON: {exc}") from None
+    names = [field.name for field in fields(FitResult)]
+    values = [report.get(name) if isinstance(report, dict) else None for name in names]
+    for name, value in zip(names, values):
+        if not isinstance(value, float) or not math.isfinite(value):
+            raise ValueError(f"{path}: needs {name} as a finite number, got {value!r}")
+    return FitResult(*values)

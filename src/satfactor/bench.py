@@ -104,7 +104,7 @@ def generate_instances(n_bits: int, count: int, master_seed: int) -> list[Semipr
     """Semi-primes for one bitlength, deterministic in the master seed.
 
     Prefers distinct values; when the bitlength simply does not offer
-    enough (small n), the remainder are repeats, with a warning.
+    enough (small n), the remainder are repeats, with one warning.
     """
     found: list[Semiprime] = []
     values = set()
@@ -117,11 +117,12 @@ def generate_instances(n_bits: int, count: int, master_seed: int) -> list[Semipr
             values.add(s.value)
             found.append(s)
         elif attempt > budget:
-            log.warning(
-                "only %d distinct %d-bit semi-primes found; repeating values",
-                len(found), n_bits,
-            )
             found.append(s)
+    if len(values) < count:
+        log.warning(
+            "only %d distinct %d-bit semi-primes found; repeating values",
+            len(values), n_bits,
+        )
     return found
 
 

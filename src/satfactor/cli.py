@@ -120,8 +120,10 @@ def cmd_encode(args) -> int:
     if args.fold_constants:
         simplified = unit_propagate(formula)
         if simplified.conflict:
-            log.warning("instance is unsatisfiable by unit propagation alone")
-        formula = simplified.formula
+            # the folded formula would be empty, hence satisfiable
+            log.warning("instance is unsatisfiable by unit propagation alone; writing it unfolded")
+        else:
+            formula = simplified.formula
     _write_output(args.out, write_dimacs(formula))
     return EXIT_OK
 
@@ -178,31 +180,15 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _fit_from_dataset(path: str, stat: str):
-    dataset = bench.load_csv(path)
-    points = bench.aggregate(dataset, stat=stat)
+def cmd_analyze_fit(args) -> int:
+    points = bench.aggregate(bench.load_csv(args.dataset), stat=args.stat)
     if not points:
         raise RuntimeError("dataset has no SAT rows to fit")
     curve = analysis.per_bitlength_median(points)
     fit = analysis.fit_exponential(curve)
-    return points, curve, fit
-
-
-def cmd_analyze_fit(args) -> int:
-    points, curve, fit = _fit_from_dataset(args.dataset, args.stat)
     if args.curve:
         _write_output(args.curve, analysis.curve_csv(curve, fit))
-    report = {
-        **asdict(fit),
-        "stat": args.stat,
-        "per_instance_points": len(points),
-        "curve": [{"n_bits": n, "seconds": t} for n, t in curve],
-        "reference_ops_model": {
-            "slope": analysis.DEFAULT_CLASSICAL_SLOPE,
-            "log2_intercept": analysis.DEFAULT_CLASSICAL_LOG2_INTERCEPT,
-        },
-    }
-    _write_json(args.out, report)
+    _write_json(args.out, analysis.fit_report(fit, curve, args.stat, len(points)))
     return EXIT_OK
 
 
@@ -262,17 +248,8 @@ def cmd_analyze_correlate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    fit = None
-    if args.slope is not None or args.intercept is not None:
-        if args.slope is None or args.intercept is None:
-            raise _UsageError("--slope and --intercept go together")
-        fit = analysis.FitResult(slope=args.slope, intercept=args.intercept, r2=1.0)
-    estimate = analysis.estimate_costs(
-        args.bits,
-        fit=fit,
-        classical_rate=args.classical_rate,
-        quantum_rate=args.quantum_rate,
-    )
+    fit = analysis.load_fit(args.fit) if args.fit else None
+    estimate = analysis.estimate_costs(args.bits, fit, args.classical_rate, args.quantum_rate)
     _write_json(args.out, asdict(estimate))
     return EXIT_OK
 
@@ -353,16 +330,13 @@ def build_parser() -> _Parser:
     pa.add_argument("--out", default=None)
     pa.set_defaults(fn=cmd_analyze_correlate)
 
-    p = sub.add_parser(
-        "estimate", help="classical/quantum/sieve cost extrapolation",
-        description="--slope and --intercept set a log2-operations model, log2(ops) = "
-        "slope * bits + intercept.  analyze fit reports log2 seconds, so its numbers "
-        "passed here would be read as operations.",
-    )
+    p = sub.add_parser("estimate", help="classical/quantum/sieve cost extrapolation")
     p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--slope", type=float, default=None, help="log2 operations per bit")
-    p.add_argument("--intercept", type=float, default=None, help="log2 operations at 0 bits")
-    p.add_argument("--classical-rate", type=float, default=analysis.DEFAULT_CLASSICAL_RATE)
+    p.add_argument("--fit", default=None, help="fit JSON written by analyze fit --out")
+    p.add_argument(
+        "--classical-rate", type=float, default=analysis.DEFAULT_CLASSICAL_RATE,
+        help="--fit reads log2 seconds, and --classical-rate turns seconds into operations",
+    )
     p.add_argument("--quantum-rate", type=float, default=analysis.DEFAULT_QUANTUM_RATE)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_estimate)

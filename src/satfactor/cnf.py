@@ -412,8 +412,9 @@ class SimplifyResult:
     ids intact, followed by a unit clause for every forced varmap variable,
     so the varmap still decodes models of the simplified formula.
     ``units`` is the forced partial assignment.  ``conflict`` marks
-    derivation of an empty clause, in which case ``formula`` is empty and
-    meaningless.
+    derivation of an empty clause, in which case ``formula`` has no clauses:
+    it is satisfiable where the input is not, and must never be written or
+    solved in the input's place.
     """
 
     formula: Formula

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -18,6 +19,8 @@ from satfactor.analysis import (
     curve_csv,
     estimate_costs,
     fit_exponential,
+    fit_report,
+    load_fit,
     modularity,
     nfs_log2_ops,
     per_bitlength_median,
@@ -491,12 +494,20 @@ class TestEstimateCosts:
             assert field is not None and math.isfinite(field)
 
     def test_custom_fit(self):
+        # a fit is log2 seconds: 2^10 s at 2 ops/s is 2^11 operations
         fit = FitResult(slope=1.0, intercept=0.0, r2=1.0)
         e = estimate_costs(10, fit=fit, classical_rate=2.0, quantum_rate=4.0)
-        assert e.classical_log2_ops == pytest.approx(10.0)
-        assert e.quantum_log2_ops == pytest.approx(5.0)
-        assert e.classical_log2_seconds == pytest.approx(9.0)
-        assert e.quantum_log2_seconds == pytest.approx(3.0)
+        assert e.classical_log2_seconds == pytest.approx(10.0)
+        assert e.classical_log2_ops == pytest.approx(11.0)
+        assert e.quantum_log2_ops == pytest.approx(5.5)
+        assert e.quantum_log2_seconds == pytest.approx(3.5)
+
+    def test_overflow_is_a_value_error(self):
+        assert math.isfinite(estimate_costs(4800).universe_lifetimes)
+        with pytest.raises(ValueError, match="4900 bits"):
+            estimate_costs(4900)
+        with pytest.raises(ValueError, match="100 bits"):
+            estimate_costs(100, fit=FitResult(slope=30.0, intercept=0.0, r2=1.0))
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
@@ -511,6 +522,17 @@ class TestCurveHelpers:
     def test_per_bitlength_median(self):
         points = [(10, 1, 1.0), (10, 2, 3.0), (10, 3, 2.0), (12, 4, 5.0), (12, 5, 7.0)]
         assert per_bitlength_median(points) == [(10, 2.0), (12, 6.0)]
+
+    def test_fit_report_round_trip(self, tmp_path):
+        fit = fit_exponential([(10, 0.01), (12, 0.05), (14, 0.2)])
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit_report(fit, [(10, 0.01)], "mean", 3)))
+        assert load_fit(str(path)) == fit
+
+    def test_load_fit_reads_integers(self, tmp_path):
+        path = tmp_path / "fit.json"
+        path.write_text('{"slope": 1, "intercept": -2, "r2": 1}')
+        assert load_fit(str(path)) == FitResult(slope=1.0, intercept=-2.0, r2=1.0)
 
     def test_curve_csv(self):
         fit = FitResult(slope=1.0, intercept=0.0, r2=1.0)

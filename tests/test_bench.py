@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import sys
 
 import pytest
@@ -76,6 +77,15 @@ class TestSeedsAndInstances:
         instances = generate_instances(8, 12, master_seed=1)
         assert len(instances) == 12
         assert all(s.value.bit_length() == 8 for s in instances)
+
+    def test_repeats_warn_once_per_call(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="satfactor.bench"):
+            instances = generate_instances(9, 8, master_seed=2)
+        assert [r.getMessage() for r in caplog.records] == [
+            "only 4 distinct 9-bit semi-primes found; repeating values"
+        ]
+        # one warning per call changes none of the values drawn
+        assert [s.value for s in instances] == [437, 391, 323, 493, 391, 437, 493, 493]
 
 
 class TestRunExperiment:

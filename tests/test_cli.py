@@ -11,7 +11,7 @@ import satfactor
 from satfactor import bench
 from satfactor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_UNKNOWN, EXIT_USAGE, main
 from satfactor.cnf import parse_dimacs, parse_solver_output, Status
-from satfactor.encoder import decode
+from satfactor.encoder import ALGORITHMS, decode
 
 EXTERNAL = f"{sys.executable} -m satfactor.cli solve"
 
@@ -138,6 +138,21 @@ class TestEncode:
             assert status is Status.SAT
             p, q, _ = decode(varmap, assignment)
             assert {p, q} == {11, 13}, seed
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_fold_constants_refuted_instance_stays_unsat(self, capsys, caplog, tmp_path, alg):
+        # 11 is prime, and unit propagation alone refutes its 2,2 split; the
+        # folded formula would have no clauses, so the instance is written whole
+        argv = ["encode", "--n", "11", "--split", "2,2", "--alg", alg]
+        path = tmp_path / "f.cnf"
+        code, _, _ = run(capsys, *argv, "--fold-constants", "--out", str(path))
+        assert code == EXIT_OK
+        assert "unsatisfiable by unit propagation alone" in caplog.text
+        _, unfolded, _ = run(capsys, *argv)
+        assert path.read_text() == unfolded
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == EXIT_OK
+        assert out == "s UNSATISFIABLE\n"
 
     def test_needs_target(self, capsys):
         code, _, err = run(capsys, "encode")
@@ -301,6 +316,60 @@ class TestBenchAnalyzeEstimate:
         assert 33 <= report["universe_lifetimes"] <= 300
         assert report["nfs_log2_ops"] < report["quantum_log2_ops"]
 
+    def test_estimate_help_lists_fit(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["estimate", "--help"])
+        out = capsys.readouterr().out
+        assert "--fit" in out
+        assert "--slope" not in out and "--intercept" not in out
+
+    def test_fit_composes_with_estimate(self, capsys, tmp_path):
+        # analyze fit's line, read back by estimate, is the same line
+        (tmp_path / "dataset.csv").write_text(GOLDEN_INPUTS["dataset.csv"])
+        fit_path = tmp_path / "f.json"
+        code, _, _ = run(capsys, "analyze", "fit", str(tmp_path / "dataset.csv"), "--out", str(fit_path))
+        assert code == EXIT_OK
+        fit = json.loads(fit_path.read_text())
+        code, out, _ = run(capsys, "estimate", "--bits", "16", "--fit", str(fit_path))
+        assert code == EXIT_OK
+        seconds = json.loads(out)["classical_log2_seconds"]
+        assert abs(seconds - (fit["slope"] * 16 + fit["intercept"])) < 1e-9
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"intercept": -14.8, "r2": 0.99}', "needs slope as a finite number, got None"),
+            (b'{"slope": 0.72, "r2": 0.99}', "needs intercept as a finite number, got None"),
+            (b'{"slope": "0.72", "intercept": -14.8, "r2": 0.99}', "needs slope as a finite number, got '0.72'"),
+            (b'{"slope": 0.72, "intercept": true, "r2": 0.99}', "needs intercept as a finite number, got True"),
+            (b'{"slope": NaN, "intercept": -14.8, "r2": 0.99}', "needs slope as a finite number, got nan"),
+            (b'{"slope": 0.72, "intercept": -14.8, "r2": 0.99, "slope": Infinity}', "needs slope as a finite number, got inf"),
+            (b"[0.72, -14.8, 0.99]", "needs slope as a finite number, got None"),
+            (b"slope,intercept\n0.72,-14.8\n", "not JSON: "),
+            (b"\xff\xfe", "not JSON: "),
+        ],
+    )
+    def test_estimate_bad_fit_file(self, capsys, tmp_path, content, message):
+        path = tmp_path / "bad-fit.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "estimate", "--bits", "16", "--fit", str(path))
+        assert code == EXIT_RUNTIME
+        assert out == ""
+        assert err.startswith(f"error: {path}: {message}")
+
+    def test_estimate_missing_fit_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        code, _, err = run(capsys, "estimate", "--bits", "16", "--fit", str(path))
+        assert code == EXIT_RUNTIME
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_estimate_past_float_range(self):
+        # 2^(lifetimes) overflows a float near 4,880 bits at the default model
+        proc = _python_with_package("-m", "satfactor.cli", "estimate", "--bits", "4900", timeout=60)
+        assert proc.returncode == EXIT_RUNTIME
+        assert proc.stdout == ""
+        assert proc.stderr == "error: universe lifetimes at 4900 bits exceed the float range\n"
+
     def test_missing_dataset_runtime_error(self, capsys):
         code, _, err = run(capsys, "analyze", "fit", "/nonexistent.csv")
         assert code == 2
@@ -393,8 +462,9 @@ def test_process_machinery_not_imported_at_start_up():
 
 # Hand-written inputs for the golden-output cases: a dataset with three
 # bitlengths of four semi-primes each (one UNKNOWN row), a two-target CSV,
-# and three small instances; the SAT one has 14 variables, so its model
-# spans two v lines.
+# three small instances (the SAT one has 14 variables, so its model spans
+# two v lines) and the dataset's fit.  No input may share a name with a
+# file a case writes: _golden_outputs hashes only files not named here.
 GOLDEN_INPUTS = {
     "dataset.csv": """\
 # plan=handwritten
@@ -418,6 +488,34 @@ mean,schoolbook,embedded,16,56153,1,SAT,0.14,81,230,
     "sat.cnf": "p cnf 14 14\n" + "".join(f"{v if v % 3 else -v} 0\n" for v in range(1, 15)),
     "unsat.cnf": "p cnf 1 2\n1 0\n-1 0\n",
     "empty.cnf": "p cnf 0 0\n",
+    # what `analyze fit dataset.csv` prints (the fit-stdout case)
+    "measured-fit.json": """\
+{
+  "slope": 0.722552963615472,
+  "intercept": -14.803194930207724,
+  "r2": 0.9991203632601091,
+  "stat": "mean",
+  "per_instance_points": 12,
+  "curve": [
+    {
+      "n_bits": 12,
+      "seconds": 0.0145
+    },
+    {
+      "n_bits": 14,
+      "seconds": 0.037500000000000006
+    },
+    {
+      "n_bits": 16,
+      "seconds": 0.1075
+    }
+  ],
+  "reference_ops_model": {
+    "slope": 0.495,
+    "log2_intercept": 16.8
+  }
+}
+""",
 }
 
 # Each case's command line, run in a directory holding GOLDEN_INPUTS; file
@@ -445,7 +543,7 @@ GOLDEN_CASES = {
     "correlate": ["analyze", "correlate", "dataset.csv"],
     "correlate-spearman": ["analyze", "correlate", "dataset.csv", "--method", "spearman", "--out", "rho.json"],
     "estimate": ["estimate", "--bits", "768"],
-    "estimate-model": ["estimate", "--bits", "256", "--slope", "0.5", "--intercept", "10", "--out", "est.json"],
+    "estimate-fit": ["estimate", "--bits", "256", "--fit", "measured-fit.json"],
 }
 
 GOLDEN_DIGESTS = {
@@ -482,9 +580,8 @@ GOLDEN_DIGESTS = {
     "estimate": {
         "stdout": "6fd854a452366f596b632bd397a779c4d2fdd2b6f7529c427a13e831fc3f4980",
     },
-    "estimate-model": {
-        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "est.json": "6bbb0abaefb01369e20411bb72c5c0f49b66d9243a101b0543ffe8330443c167",
+    "estimate-fit": {
+        "stdout": "73a97be517f2940b879d0205bda9ec06d6a32e3db0aa0797cad5d172b7f664dc",
     },
     "factor": {
         "stdout": "f18a40df4c80545650cf6186bd6395bf3a1b8fb8c1852645a92dbf57352ca3f5",
@@ -554,3 +651,8 @@ def test_golden_outputs(capsys, tmp_path, monkeypatch, case):
     code, digests = _golden_outputs(capsys, tmp_path, monkeypatch, GOLDEN_CASES[case])
     assert code == EXIT_OK
     assert digests == GOLDEN_DIGESTS[case]
+
+
+def test_measured_fit_input_is_the_fit_stdout_case():
+    digest = hashlib.sha256(GOLDEN_INPUTS["measured-fit.json"].encode()).hexdigest()
+    assert digest == GOLDEN_DIGESTS["fit-stdout"]["stdout"]
