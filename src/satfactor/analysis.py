@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import statistics
+import sys
 from dataclasses import asdict, dataclass, fields
 from heapq import heapify, heappop, heappush
 
@@ -268,8 +269,10 @@ def estimate_costs(
     """
     if n_bits < 0:
         raise ValueError("n_bits must be >= 0")
-    if classical_rate <= 0 or quantum_rate <= 0:
-        raise ValueError("rates must be positive")
+    if n_bits > sys.float_info.max:  # compared as an int: float(n_bits) would overflow
+        raise ValueError(f"costs at {n_bits} bits exceed the float range")
+    if not all(math.isfinite(rate) and rate > 0 for rate in (classical_rate, quantum_rate)):
+        raise ValueError("rates must be positive and finite")
     slope = fit.slope if fit else DEFAULT_CLASSICAL_SLOPE
     intercept = fit.intercept + math.log2(classical_rate) if fit else DEFAULT_CLASSICAL_LOG2_INTERCEPT
     classical_ops = intercept + slope * n_bits

@@ -27,7 +27,7 @@ from .solver import SolveResult, SolverConfig, SolverError, solve, solve_externa
 
 log = logging.getLogger(__name__)
 
-STRATEGIES = ("mean", "min", "multi_target", "trial_division")
+STRATEGIES = ("mean", "multi_target", "trial_division")
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -46,8 +46,10 @@ class ExperimentPlan:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.solver not in ("embedded", "external"):
             raise ValueError(f"solver must be 'embedded' or 'external', got {self.solver!r}")
-        if self.solver == "external" and not self.external_cmd:
-            raise ValueError("external solver requires a command")
+        if (self.solver == "external") != bool(self.external_cmd):
+            raise ValueError("a solver command goes with solver 'external', and only with it")
+        if self.strategy == "trial_division" and self.solver != "embedded":
+            raise ValueError("trial_division runs no SAT solver, so it takes no solver command")
         if self.semiprimes_per_n < 1 or self.seeds_per_instance < 1:
             raise ValueError("counts must be >= 1")
         if not self.bitlengths or min(self.bitlengths) < 6:
@@ -156,13 +158,12 @@ def _solve_task(args) -> RunRecord:
     plan, n_bits, instances, solver_seed = args
     split = instances[0].split if len(instances) == 1 else None
     formula, varmap = encode(spec_for([s.value for s in instances], plan.encoder, split))
-    external_cmd = plan.external_cmd if plan.solver == "external" else None
     try:
         result, factors = solve_and_verify(
-            formula, varmap, solver_seed, plan.time_limit, external_cmd
+            formula, varmap, solver_seed, plan.time_limit, plan.external_cmd
         )
     except SolverError as exc:
-        if external_cmd is None:
+        if plan.external_cmd is None:
             raise
         log.warning("external solver failed on n=%d: %s", n_bits, exc)
         return RunRecord(

@@ -79,6 +79,53 @@ def bnot(bit):
     return -bit
 
 
+def _and(w: int, inputs: tuple[int, ...]) -> tuple[Clause, ...]:
+    a, c = inputs
+    return (-a, -c, w), (a, -w), (c, -w)
+
+
+def _or(w: int, inputs: tuple[int, ...]) -> tuple[Clause, ...]:
+    a, c = inputs
+    return (a, c, -w), (-a, w), (-c, w)
+
+
+def _xor(w: int, inputs: tuple[int, ...]) -> tuple[Clause, ...]:
+    a, c = inputs
+    return (-w, a, c), (-w, -a, -c), (w, -a, c), (w, a, -c)
+
+
+def _mux(w: int, inputs: tuple[int, ...]) -> tuple[Clause, ...]:
+    """w is t when sel is true, f otherwise."""
+    sel, t, f = inputs
+    return (-sel, -t, w), (-sel, t, -w), (sel, -f, w), (sel, f, -w), (-t, -f, w), (t, f, -w)
+
+
+def _full_adder(s: int, inputs: tuple[int, ...], borrow: bool = False) -> tuple[Clause, ...]:
+    """Sum s and carry w = s + 1 of a + c + d; with ``borrow``, difference
+    and borrow of a - c - d, where the borrow is the carry of (1 - a) + c + d."""
+    a, c, d = inputs
+    m = -a if borrow else a
+    w = s + 1
+    return (  # s <-> a xor c xor d, then w <-> at least two of m, c, d
+        (-s, a, c, d), (-s, -a, -c, d), (-s, -a, c, -d), (-s, a, -c, -d),
+        (s, -a, c, d), (s, a, -c, d), (s, a, c, -d), (s, -a, -c, -d),
+        (-w, m, c), (-w, m, d), (-w, c, d), (w, -m, -c), (w, -m, -d), (w, -c, -d),
+    )
+
+
+# The gate vocabulary: kind -> (number of output wires, clauses over the
+# first output w, a second output being w + 1, and the input literals).
+# Every clause a gate emits comes from here.
+_GATES = {
+    "and": (1, _and),
+    "or": (1, _or),
+    "xor": (1, _xor),
+    "full_adder": (2, _full_adder),
+    "full_subtractor": (2, lambda s, inputs: _full_adder(s, inputs, borrow=True)),
+    "mux": (1, _mux),
+}
+
+
 class CircuitBuilder:
     """Allocates wire variables and accumulates gate clauses."""
 
@@ -97,83 +144,31 @@ class CircuitBuilder:
                 raise EncodeError(f"literal {lit} references an unallocated variable")
         self.clauses.append(make_clause(lits))
 
-    def _check_inputs(self, *lits: int) -> None:
-        """Gate inputs must be int literals (not bools) of distinct allocated
-        variables.  Every gate calls this before it allocates its output, so
-        a rejected gate leaves the builder as it was, and its fixed clauses
-        are then free of repeats and tautologies by construction."""
-        for lit in lits:
+    def gate(self, kind: str, *inputs: int) -> int | tuple[int, int]:
+        """Define fresh output wires by a gate of ``kind`` (see ``_GATES``)
+        over literal inputs; returns the output, or the (sum, carry) pair
+        of an adder or subtractor.
+
+        The inputs must be int literals (not bools) of distinct allocated
+        variables.  They are checked before the outputs are allocated, so a
+        rejected gate leaves the builder as it was, and the gate's fixed
+        clauses are then free of repeats and tautologies by construction."""
+        n_outputs, clauses = _GATES[kind]
+        for lit in inputs:
             if type(lit) is not int:
                 raise EncodeError(f"gate input {lit!r} is not an int literal")
-        variables = set(map(abs, lits))
-        if len(variables) != len(lits):
-            raise EncodeError(f"gate inputs {lits} repeat a variable")
-        if not 0 < min(variables) <= max(variables) <= self.num_vars:
-            raise EncodeError(f"gate inputs {lits} reference an unallocated variable")
-
-    # -- gate primitives: inputs are literals, each defines a fresh output wire
-
-    def and_gate(self, a: int, c: int) -> int:
-        self._check_inputs(a, c)
-        w = self.fresh_var()
-        self.clauses += ((-a, -c, w), (a, -w), (c, -w))
-        return w
-
-    def or_gate(self, a: int, c: int) -> int:
-        self._check_inputs(a, c)
-        w = self.fresh_var()
-        self.clauses += ((a, c, -w), (-a, w), (-c, w))
-        return w
-
-    def xor_gate(self, a: int, c: int) -> int:
-        self._check_inputs(a, c)
-        w = self.fresh_var()
-        self.clauses += ((-w, a, c), (-w, -a, -c), (w, -a, c), (w, a, -c))
-        return w
-
-    def _parity3(self, s: int, a: int, c: int, d: int) -> None:
-        # s <-> a xor c xor d, eight 4-literal clauses; unchecked, callers check
-        self.clauses += (
-            (-s, a, c, d), (-s, -a, -c, d), (-s, -a, c, -d), (-s, a, -c, -d),
-            (s, -a, c, d), (s, a, -c, d), (s, a, c, -d), (s, -a, -c, -d),
-        )
-
-    def _majority3(self, w: int, a: int, c: int, d: int) -> None:
-        # w <-> at least two of a, c, d, six 3-literal clauses; unchecked
-        self.clauses += (
-            (-w, a, c), (-w, a, d), (-w, c, d), (w, -a, -c), (w, -a, -d), (w, -c, -d),
-        )
-
-    def half_adder(self, a: int, c: int) -> tuple[int, int]:
-        s = self.xor_gate(a, c)
-        cout = self.and_gate(a, c)
-        return s, cout
-
-    def full_adder(self, a: int, c: int, d: int) -> tuple[int, int]:
-        self._check_inputs(a, c, d)
-        s = self.fresh_var()
-        self._parity3(s, a, c, d)
-        cout = self.fresh_var()
-        self._majority3(cout, a, c, d)
-        return s, cout
-
-    def full_subtractor(self, a: int, c: int, bin_: int) -> tuple[int, int]:
-        """Difference and borrow-out of a - c - bin_."""
-        self._check_inputs(a, c, bin_)
-        diff = self.fresh_var()
-        self._parity3(diff, a, c, bin_)
-        bout = self.fresh_var()
-        self._majority3(bout, -a, c, bin_)
-        return diff, bout
-
-    def mux_gate(self, sel: int, t: int, f: int) -> int:
-        """Output equals t when sel is true, f otherwise."""
-        self._check_inputs(sel, t, f)
-        w = self.fresh_var()
-        self.clauses += (
-            (-sel, -t, w), (-sel, t, -w), (sel, -f, w), (sel, f, -w), (-t, -f, w), (t, f, -w),
-        )
-        return w
+        variables = set(map(abs, inputs))
+        if len(variables) != len(inputs):
+            raise EncodeError(f"gate inputs {inputs} repeat a variable")
+        w = self.num_vars + 1
+        if not 0 < min(variables) <= max(variables) < w:
+            raise EncodeError(f"gate inputs {inputs} reference an unallocated variable")
+        self.clauses += clauses(w, inputs)
+        if n_outputs == 1:
+            self.num_vars = w
+            return w
+        self.num_vars = w + 1
+        return w, w + 1
 
     # -- constant-folding wrappers over bits (literal or bool)
 
@@ -188,7 +183,7 @@ class CircuitBuilder:
             return a
         if a == -c:
             return False
-        return self.and_gate(a, c)
+        return self.gate("and", a, c)
 
     def bor(self, a, c):
         if a is True or c is True:
@@ -201,7 +196,7 @@ class CircuitBuilder:
             return a
         if a == -c:
             return True
-        return self.or_gate(a, c)
+        return self.gate("or", a, c)
 
     def bxor(self, a, c):
         if a is False:
@@ -216,7 +211,7 @@ class CircuitBuilder:
             return False
         if a == -c:
             return True
-        return self.xor_gate(a, c)
+        return self.gate("xor", a, c)
 
     def bmux(self, sel, t, f):
         if sel is True:
@@ -239,7 +234,7 @@ class CircuitBuilder:
             return t
         if t == -f:
             return bnot(self.bxor(sel, t))
-        return self.mux_gate(sel, t, f)
+        return self.gate("mux", sel, t, f)
 
     def half_add(self, a, c):
         if a is False:
@@ -254,7 +249,7 @@ class CircuitBuilder:
             return False, a
         if a == -c:
             return True, False
-        return self.half_adder(a, c)
+        return self.gate("xor", a, c), self.gate("and", a, c)
 
     def full_add(self, a, c, d):
         for const, x, y in ((a, c, d), (c, a, d), (d, a, c)):
@@ -271,14 +266,14 @@ class CircuitBuilder:
         if a == -d or c == -d:
             other = c if a == -d else a
             return bnot(other), other
-        return self.full_adder(a, c, d)
+        return self.gate("full_adder", a, c, d)
 
     def bsub(self, a, c, bin_):
         """Difference and borrow of a - c - bin_ with constant folding."""
         if c is False and bin_ is False:
             return a, False
         if not isinstance(a, bool) and not isinstance(c, bool) and not isinstance(bin_, bool):
-            return self.full_subtractor(a, c, bin_)
+            return self.gate("full_subtractor", a, c, bin_)
         diff = self.bxor(self.bxor(a, c), bin_)
         borrow = self.bor(
             self.bor(self.band(bnot(a), c), self.band(bnot(a), bin_)),

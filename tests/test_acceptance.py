@@ -68,7 +68,7 @@ def min_dataset():
         bitlengths=(16, 18, 20, 22),
         semiprimes_per_n=5,
         seeds_per_instance=20,
-        strategy="min",
+        strategy="mean",
         master_seed=MASTER_SEED + 1,
     )
     return run_experiment(plan, workers=WORKERS)

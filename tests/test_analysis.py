@@ -513,6 +513,18 @@ class TestEstimateCosts:
         with pytest.raises(ValueError):
             estimate_costs(10, classical_rate=0.0)
 
+    @pytest.mark.parametrize("rate", ["classical_rate", "quantum_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, rate, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            estimate_costs(768, **{rate: value})
+
+    def test_bitlength_beyond_float_range(self):
+        # the check compares ints, so it cannot itself overflow
+        n_bits = 10**400
+        with pytest.raises(ValueError, match=f"costs at {n_bits} bits exceed the float range"):
+            estimate_costs(n_bits)
+
     def test_default_constants_recorded(self):
         assert DEFAULT_CLASSICAL_SLOPE == 0.495
         assert DEFAULT_CLASSICAL_LOG2_INTERCEPT == 16.8

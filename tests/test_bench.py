@@ -55,6 +55,13 @@ class TestExperimentPlan:
         with pytest.raises(ValueError):
             tiny_plan(solver="external")  # no command
 
+    def test_solver_command_only_with_external_solver(self):
+        with pytest.raises(ValueError, match="only with it"):
+            tiny_plan(external_cmd="kissat")  # the embedded solver would ignore it
+        with pytest.raises(ValueError, match="no solver command"):
+            tiny_plan(strategy="trial_division", solver="external", external_cmd="kissat")
+        assert tiny_plan(solver="external", external_cmd="kissat").external_cmd == "kissat"
+
     def test_fingerprint_stable_and_distinct(self):
         assert tiny_plan().fingerprint() == tiny_plan().fingerprint()
         assert tiny_plan().fingerprint() != tiny_plan(master_seed=9).fingerprint()
@@ -152,13 +159,6 @@ class TestRunExperiment:
         dataset = run_experiment(plan)
         assert all(r.status is Status.SAT for r in dataset.records)
 
-    def test_embedded_plan_ignores_external_cmd(self):
-        dataset = run_experiment(tiny_plan(external_cmd="/nonexistent/solver"))
-        assert dataset.records
-        for r in dataset.records:
-            assert r.status is Status.SAT
-            assert r.solver == "embedded"
-
     @pytest.mark.parametrize("solver", ["embedded", "external"])
     def test_decode_mismatch_raises(self, monkeypatch, solver):
         real_encode = bench.encode
@@ -171,7 +171,7 @@ class TestRunExperiment:
         monkeypatch.setattr(bench, "encode", wrong_target)
         plan = tiny_plan(
             bitlengths=(10,), semiprimes_per_n=1, seeds_per_instance=1,
-            solver=solver, external_cmd=EXTERNAL,
+            solver=solver, external_cmd=EXTERNAL if solver == "external" else None,
         )
         with pytest.raises(DecodeError):
             run_experiment(plan)

@@ -287,6 +287,23 @@ class TestBenchAnalyzeEstimate:
         rows = [l for l in ds_path.read_text().splitlines() if not l.startswith(("#", "strategy"))]
         assert len(rows) == 5 * 3 * 5
 
+    def test_trial_division_rejects_solver_command(self, capsys, tmp_path):
+        ds_path = tmp_path / "r.csv"
+        code, out, err = run(
+            capsys, "bench", "--bits", "10", "--strategy", "trial_division",
+            "--solver-cmd", "kissat", "--out", str(ds_path),
+        )
+        assert code == EXIT_RUNTIME
+        assert out == ""
+        assert err == "error: trial_division runs no SAT solver, so it takes no solver command\n"
+        assert not ds_path.exists()
+
+    def test_bench_has_no_min_strategy(self, capsys):
+        # the statistic over seeds is analyze fit's --stat, not a strategy
+        code, _, err = run(capsys, "bench", "--bits", "10", "--strategy", "min")
+        assert code == EXIT_USAGE
+        assert "invalid choice: 'min'" in err
+
     def test_analyze_community(self, capsys):
         code, out, _ = run(capsys, "analyze", "community", "--bits", "16")
         assert code == EXIT_OK
@@ -369,6 +386,22 @@ class TestBenchAnalyzeEstimate:
         assert proc.returncode == EXIT_RUNTIME
         assert proc.stdout == ""
         assert proc.stderr == "error: universe lifetimes at 4900 bits exceed the float range\n"
+
+    @pytest.mark.parametrize("option", ["--classical-rate", "--quantum-rate"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_estimate_non_finite_rate(self, capsys, option, value):
+        # NaN and Infinity are not JSON, so no report is printed
+        code, out, err = run(capsys, "estimate", "--bits", "768", f"{option}={value}")
+        assert code == EXIT_RUNTIME
+        assert out == ""
+        assert err == "error: rates must be positive and finite\n"
+
+    def test_estimate_bitlength_beyond_float_range(self):
+        bits = "1" + "0" * 400
+        proc = _python_with_package("-m", "satfactor.cli", "estimate", "--bits", bits, timeout=60)
+        assert proc.returncode == EXIT_RUNTIME
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: costs at {bits} bits exceed the float range\n"
 
     def test_missing_dataset_runtime_error(self, capsys):
         code, _, err = run(capsys, "analyze", "fit", "/nonexistent.csv")

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -12,6 +13,7 @@ from satfactor.encoder import (
     DecodeError,
     EncodeError,
     EncodeSpec,
+    _GATES,
     decode,
     encode,
     encode_division,
@@ -39,73 +41,83 @@ def forced_outputs(builder, input_vars, input_bits, output_vars):
     return out
 
 
+# gate kind -> its output bits as a function of its input bits
+GATE_FUNCTIONS = {
+    "and": lambda a, c: [a and c],
+    "or": lambda a, c: [a or c],
+    "xor": lambda a, c: [a != c],
+    "full_adder": lambda a, c, d: [bool((a + c + d) & 1), a + c + d >= 2],
+    "full_subtractor": lambda a, c, d: [bool((a - c - d) & 1), a - c - d < 0],
+    "mux": lambda sel, t, f: [t if sel else f],
+}
+
+
 class TestGates:
-    def test_and_gate_truth_table(self):
-        for a_bit, c_bit in itertools.product([False, True], repeat=2):
+    @pytest.mark.parametrize("kind", GATE_FUNCTIONS)
+    def test_truth_table(self, kind):
+        function = GATE_FUNCTIONS[kind]
+        arity = function.__code__.co_argcount
+        for bits in itertools.product([False, True], repeat=arity):
             b = CircuitBuilder()
-            a, c = b.fresh_var(), b.fresh_var()
-            w = b.and_gate(a, c)
-            assert len(b.clauses) == 3
-            assert b.num_vars == 3
-            (got,) = forced_outputs(b, [a, c], [a_bit, c_bit], [w])
-            assert got == (a_bit and c_bit)
+            ins = [b.fresh_var() for _ in range(arity)]
+            out = b.gate(kind, *ins)
+            outs = list(out) if isinstance(out, tuple) else [out]
+            expected = function(*bits)
+            # fresh wires, sum before carry
+            assert outs == list(range(arity + 1, arity + 1 + len(expected)))
+            assert b.num_vars == arity + len(expected)
+            assert forced_outputs(b, ins, list(bits), outs) == expected
+
+    def test_every_kind_has_a_truth_table(self):
+        assert set(GATE_FUNCTIONS) == set(_GATES)
 
     def test_half_adder_truth_table(self):
         for a_bit, c_bit in itertools.product([False, True], repeat=2):
             b = CircuitBuilder()
             a, c = b.fresh_var(), b.fresh_var()
-            s, cout = b.half_adder(a, c)
+            s, cout = b.half_add(a, c)
             assert len(b.clauses) == 7
             assert b.num_vars == 4
             got = forced_outputs(b, [a, c], [a_bit, c_bit], [s, cout])
             total = int(a_bit) + int(c_bit)
             assert got == [bool(total & 1), bool(total >> 1)]
 
-    def test_full_adder_truth_table(self):
-        for bits in itertools.product([False, True], repeat=3):
-            b = CircuitBuilder()
-            ins = [b.fresh_var() for _ in range(3)]
-            s, cout = b.full_adder(*ins)
-            assert len(b.clauses) == 14
-            assert b.num_vars == 5
-            got = forced_outputs(b, ins, list(bits), [s, cout])
-            total = sum(map(int, bits))
-            assert got == [bool(total & 1), bool(total >> 1)]
 
-    def test_full_subtractor_truth_table(self):
-        for bits in itertools.product([False, True], repeat=3):
-            b = CircuitBuilder()
-            ins = [b.fresh_var() for _ in range(3)]
-            diff, bout = b.full_subtractor(*ins)
-            got = forced_outputs(b, ins, list(bits), [diff, bout])
-            total = int(bits[0]) - int(bits[1]) - int(bits[2])
-            assert got == [bool(total & 1), total < 0]
-
-    def test_mux_gate_truth_table(self):
-        for bits in itertools.product([False, True], repeat=3):
-            b = CircuitBuilder()
-            sel, t, f = (b.fresh_var() for _ in range(3))
-            w = b.mux_gate(sel, t, f)
-            got = forced_outputs(b, [sel, t, f], list(bits), [w])
-            assert got == [bits[1] if bits[0] else bits[2]]
-
-    def test_xor_or_gates(self):
-        for a_bit, c_bit in itertools.product([False, True], repeat=2):
-            b = CircuitBuilder()
-            a, c = b.fresh_var(), b.fresh_var()
-            x, o = b.xor_gate(a, c), b.or_gate(a, c)
-            got = forced_outputs(b, [a, c], [a_bit, c_bit], [x, o])
-            assert got == [a_bit ^ c_bit, a_bit or c_bit]
+# gates per kind in the gen_semiprime(n, 1) instance of each encoder, counted
+# at CircuitBuilder.gate, so clauses appended around it lower a count
+GATE_COUNTS = {
+    ("schoolbook", 16): {"and": 72, "xor": 8, "full_adder": 48},
+    ("schoolbook", 32): {"and": 272, "xor": 16, "full_adder": 224},
+    ("schoolbook", 64): {"and": 1056, "xor": 32, "full_adder": 960},
+    ("schoolbook", 128): {"and": 4160, "xor": 64, "full_adder": 3968},
+    ("karatsuba", 128): {"and": 3658, "xor": 1707, "full_adder": 2306, "full_subtractor": 1396},
+    ("division", 128): {"and": 381, "or": 126, "xor": 318, "mux": 8256, "full_subtractor": 8001},
+}
 
 
-# gate -> (number of inputs, clauses it appends)
+@pytest.mark.parametrize("algorithm,bits", GATE_COUNTS)
+def test_gate_counts(monkeypatch, algorithm, bits):
+    counts = collections.Counter()
+    real_gate = CircuitBuilder.gate
+
+    def counting_gate(builder, kind, *inputs):
+        counts[kind] += 1
+        return real_gate(builder, kind, *inputs)
+
+    monkeypatch.setattr(CircuitBuilder, "gate", counting_gate)
+    s = gen_semiprime(bits, 1)
+    encode(spec_for([s.value], algorithm, s.split))
+    assert counts == GATE_COUNTS[algorithm, bits]
+
+
+# test case -> (gate kind, number of inputs, clauses it appends)
 GATES = {
-    "and_gate": (2, 3),
-    "or_gate": (2, 3),
-    "xor_gate": (2, 4),
-    "full_adder": (3, 14),
-    "full_subtractor": (3, 14),
-    "mux_gate": (3, 6),
+    "and_gate": ("and", 2, 3),
+    "or_gate": ("or", 2, 3),
+    "xor_gate": ("xor", 2, 4),
+    "full_adder": ("full_adder", 3, 14),
+    "full_subtractor": ("full_subtractor", 3, 14),
+    "mux_gate": ("mux", 3, 6),
 }
 
 # a builder with variables 1..4 and one pinned clause; the inputs start
@@ -132,20 +144,20 @@ def four_var_builder():
 class TestGateInputCheck:
     @pytest.mark.parametrize("gate", GATES)
     def test_valid_inputs(self, gate):
-        arity, n_clauses = GATES[gate]
+        kind, arity, n_clauses = GATES[gate]
         b = four_var_builder()
-        getattr(b, gate)(*[2, -3, 4][:arity])
+        b.gate(kind, *[2, -3, 4][:arity])
         assert len(b.clauses) == 1 + n_clauses
-        assert b.num_vars == 4 + (2 if gate.startswith("full") else 1)
+        assert b.num_vars == 4 + (2 if kind.startswith("full") else 1)
 
     @pytest.mark.parametrize("case", BAD_INPUTS)
     @pytest.mark.parametrize("gate", GATES)
     def test_bad_inputs_leave_the_builder_unchanged(self, gate, case):
-        arity, _ = GATES[gate]
+        kind, arity, _ = GATES[gate]
         corrupt, message = BAD_INPUTS[case]
         b = four_var_builder()
         with pytest.raises(EncodeError, match=message):
-            getattr(b, gate)(*corrupt([2, -3, 4][:arity]))
+            b.gate(kind, *corrupt([2, -3, 4][:arity]))
         assert b.num_vars == 4
         assert b.clauses == [(1,)]
 
