@@ -282,7 +282,7 @@ def estimate_costs(
     lifetimes_log2 = quantum_seconds - math.log2(UNIVERSE_LIFETIME_S)
     if not lifetimes_log2 < 1024:  # 2.0 ** 1024 overflows a float
         raise ValueError(f"universe lifetimes at {n_bits} bits exceed the float range")
-    return QuantumEstimate(
+    estimate = QuantumEstimate(
         n_bits=n_bits,
         classical_log2_ops=classical_ops,
         quantum_log2_ops=quantum_ops,
@@ -291,6 +291,10 @@ def estimate_costs(
         quantum_log2_seconds=quantum_seconds,
         universe_lifetimes=2.0 ** lifetimes_log2,
     )
+    # a steep negative fit sends the log2 costs to -inf, which is not JSON
+    if not all(math.isfinite(value) for value in asdict(estimate).values() if value is not None):
+        raise ValueError(f"costs at {n_bits} bits exceed the float range")
+    return estimate
 
 
 def per_bitlength_median(points: list[tuple[int, int, float]]) -> list[tuple[int, float]]:

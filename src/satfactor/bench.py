@@ -153,83 +153,71 @@ def solve_and_verify(
     return result, (p, q, k)
 
 
-def _solve_task(args) -> RunRecord:
-    """One solver run; used both inline and from worker processes."""
-    plan, n_bits, instances, solver_seed = args
-    split = instances[0].split if len(instances) == 1 else None
-    formula, varmap = encode(spec_for([s.value for s in instances], plan.encoder, split))
-    try:
-        result, factors = solve_and_verify(
-            formula, varmap, solver_seed, plan.time_limit, plan.external_cmd
-        )
-    except SolverError as exc:
-        if plan.external_cmd is None:
-            raise
-        log.warning("external solver failed on n=%d: %s", n_bits, exc)
-        return RunRecord(
-            plan.strategy, plan.encoder, plan.solver, n_bits, instances[0].value,
-            solver_seed, Status.UNKNOWN, 0.0, 0, 0, None,
-        )
+def _tasks(plan: ExperimentPlan) -> list[tuple]:
+    """Every run of a plan, as ``(plan, n_bits, instances, solver_seed)``."""
+    tasks = []
+    for n in plan.bitlengths:
+        instances = generate_instances(n, plan.semiprimes_per_n, plan.master_seed)
+        if plan.strategy == "trial_division":
+            tasks += [(plan, n, [s], 0) for s in instances]
+        elif plan.strategy == "multi_target":
+            unique = list({s.value: s for s in instances}.values())
+            tasks += [
+                (plan, n, unique, derive_seed(plan.master_seed, "solver", n, 0, j))
+                for j in range(plan.seeds_per_instance)
+            ]
+        else:
+            tasks += [
+                (plan, n, [s], derive_seed(plan.master_seed, "solver", n, i, j))
+                for i, s in enumerate(instances)
+                for j in range(plan.seeds_per_instance)
+            ]
+    return tasks
 
-    n_value = instances[0].value
-    matched = None
-    if factors is not None:
-        _, _, k = factors
-        n_value = varmap.targets[k]
-        matched = k if len(instances) > 1 else None
+
+def _run_task(task) -> RunRecord:
+    """One run, inline or in a worker process, as its dataset row."""
+    plan, n_bits, instances, solver_seed = task
+    n_value, matched, solver = instances[0].value, None, plan.solver
+    if plan.strategy == "trial_division":
+        solver = "trial_division"
+        start = time.perf_counter()
+        p, q = trial_division(n_value)
+        result = SolveResult(Status.SAT, None, 0, 0, 0, time.perf_counter() - start)
+        if p * q != n_value:
+            raise RuntimeError(f"trial division broke on {n_value}")
+    else:
+        split = instances[0].split if len(instances) == 1 else None
+        formula, varmap = encode(spec_for([s.value for s in instances], plan.encoder, split))
+        try:
+            result, factors = solve_and_verify(
+                formula, varmap, solver_seed, plan.time_limit, plan.external_cmd
+            )
+        except SolverError as exc:
+            if plan.external_cmd is None:
+                raise
+            log.warning("external solver failed on n=%d: %s", n_bits, exc)
+            result, factors = SolveResult(Status.UNKNOWN, None, 0, 0, 0, 0.0), None
+        if factors is not None:
+            n_value = varmap.targets[factors[2]]
+            matched = factors[2] if len(instances) > 1 else None
     return RunRecord(
-        plan.strategy, plan.encoder, plan.solver, n_bits, n_value, solver_seed,
+        plan.strategy, plan.encoder, solver, n_bits, n_value, solver_seed,
         result.status, result.wall_time, result.conflicts, result.decisions, matched,
-    )
-
-
-def _trial_division_record(plan: ExperimentPlan, s: Semiprime) -> RunRecord:
-    start = time.perf_counter()
-    p, q = trial_division(s.value)
-    wall = time.perf_counter() - start
-    if p * q != s.value:
-        raise RuntimeError(f"trial division broke on {s.value}")
-    return RunRecord(
-        plan.strategy, plan.encoder, "trial_division", s.n_bits, s.value, 0,
-        Status.SAT, wall, 0, 0, None,
     )
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> Dataset:
     """Execute a plan and return its canonically sorted dataset."""
-    instances_by_n = {
-        n: generate_instances(n, plan.semiprimes_per_n, plan.master_seed)
-        for n in plan.bitlengths
-    }
+    tasks = _tasks(plan)
+    if workers > 1:
+        # imported only here: the process pool costs every other run its import time
+        from concurrent.futures import ProcessPoolExecutor
 
-    if plan.strategy == "trial_division":
-        records = [
-            _trial_division_record(plan, s)
-            for n in plan.bitlengths
-            for s in instances_by_n[n]
-        ]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(_run_task, tasks, chunksize=1))
     else:
-        tasks = []
-        for n in plan.bitlengths:
-            if plan.strategy == "multi_target":
-                unique = list({s.value: s for s in instances_by_n[n]}.values())
-                for j in range(plan.seeds_per_instance):
-                    seed = derive_seed(plan.master_seed, "solver", n, 0, j)
-                    tasks.append((plan, n, unique, seed))
-            else:
-                for i, s in enumerate(instances_by_n[n]):
-                    for j in range(plan.seeds_per_instance):
-                        seed = derive_seed(plan.master_seed, "solver", n, i, j)
-                        tasks.append((plan, n, [s], seed))
-        if workers > 1:
-            # imported only here: the process pool costs every other run its import time
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_solve_task, tasks, chunksize=1))
-        else:
-            records = [_solve_task(t) for t in tasks]
-
+        records = [_run_task(t) for t in tasks]
     records.sort(key=lambda r: (r.n_bits, r.N, r.solver_seed))
     return Dataset(records, plan.fingerprint())
 
@@ -282,17 +270,29 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
+    """Read a dataset CSV; a malformed row raises ValueError naming its line."""
     with open(path, newline="") as handle:
         lines = handle.read().splitlines()
     fingerprint = ""
+    skipped = 0  # the ``# plan=`` line, counted in the line numbers
     if lines and lines[0].startswith("# plan="):
         fingerprint = lines[0][len("# plan="):].strip()
-        lines = lines[1:]
-    reader = csv.DictReader(lines)
-    if reader.fieldnames != CSV_COLUMNS:
-        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
-        extra = [c for c in (reader.fieldnames or []) if c not in CSV_COLUMNS]
+        skipped = 1
+    reader = csv.reader(lines[skipped:])
+    header = next(reader, None) or []
+    if header != CSV_COLUMNS:
+        missing = [c for c in CSV_COLUMNS if c not in header]
+        extra = [c for c in header if c not in CSV_COLUMNS]
         raise ValueError(f"bad dataset schema: missing={missing} unexpected={extra}")
-    readers = {c: _READERS.get(c, int) for c in CSV_COLUMNS}
-    records = [RunRecord(**{c: read(row[c]) for c, read in readers.items()}) for row in reader]
+    readers = [_READERS.get(c, int) for c in CSV_COLUMNS]
+    records = []
+    for row in reader:
+        try:
+            if len(row) != len(readers):
+                if not row:
+                    continue
+                raise ValueError(f"expected {len(readers)} fields, got {len(row)}")
+            records.append(RunRecord(*[read(text) for read, text in zip(readers, row)]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num + skipped}: {exc}") from None
     return Dataset(records, fingerprint)

@@ -525,6 +525,12 @@ class TestEstimateCosts:
         with pytest.raises(ValueError, match=f"costs at {n_bits} bits exceed the float range"):
             estimate_costs(n_bits)
 
+    def test_negative_fit_past_float_range(self):
+        # slope * n_bits is -inf: every log2 cost would be -inf, which is not JSON
+        fit = FitResult(slope=-1e300, intercept=0.0, r2=1.0)
+        with pytest.raises(ValueError, match="costs at 1000000000 bits exceed the float range"):
+            estimate_costs(10**9, fit=fit)
+
     def test_default_constants_recorded(self):
         assert DEFAULT_CLASSICAL_SLOPE == 0.495
         assert DEFAULT_CLASSICAL_LOG2_INTERCEPT == 16.8

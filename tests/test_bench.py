@@ -110,9 +110,10 @@ class TestRunExperiment:
         assert strip_times(a) == strip_times(b)
         assert a.fingerprint == b.fingerprint
 
-    def test_parallel_equals_sequential(self):
-        a = run_experiment(tiny_plan(), workers=1)
-        b = run_experiment(tiny_plan(), workers=2)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_parallel_equals_sequential(self, strategy):
+        a = run_experiment(tiny_plan(strategy=strategy), workers=1)
+        b = run_experiment(tiny_plan(strategy=strategy), workers=2)
         assert strip_times(a) == strip_times(b)
 
     def test_trial_division_strategy(self):
@@ -135,8 +136,14 @@ class TestRunExperiment:
             solver="external", external_cmd="/nonexistent/solver",
         )
         dataset = run_experiment(plan)
-        assert len(dataset.records) == 1
-        assert dataset.records[0].status is Status.UNKNOWN
+        [instance] = generate_instances(10, 1, plan.master_seed)
+        assert dataset.records == [
+            RunRecord(
+                "mean", "schoolbook", "external", 10, instance.value,
+                derive_seed(plan.master_seed, "solver", 10, 0, 0), Status.UNKNOWN, 0.0, 0, 0, None,
+            )
+        ]
+        assert type(dataset.records[0].wall_time_s) is float  # written as 0.0, not 0
 
     def test_malformed_external_output_recorded_not_raised(self, tmp_path, caplog):
         script = tmp_path / "malformed.py"

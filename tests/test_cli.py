@@ -403,6 +403,34 @@ class TestBenchAnalyzeEstimate:
         assert proc.stdout == ""
         assert proc.stderr == f"error: costs at {bits} bits exceed the float range\n"
 
+    def test_estimate_negative_fit_past_float_range(self, tmp_path):
+        # slope * bits reaches -inf, which would print -Infinity, not JSON
+        fit = tmp_path / "fit.json"
+        fit.write_text('{"slope": -1e300, "intercept": 0, "r2": 1}')
+        proc = _python_with_package(
+            "-m", "satfactor.cli", "estimate", "--bits", "1000000000", "--fit", str(fit), timeout=60,
+        )
+        assert proc.returncode == EXIT_RUNTIME
+        assert proc.stdout == ""
+        assert proc.stderr == "error: costs at 1000000000 bits exceed the float range\n"
+
+    @pytest.mark.parametrize("row, message", [
+        ("mean,schoolbook,embedded,10,589,7,SAT,0.5,3,4", "expected 11 fields, got 10"),
+        ("mean,schoolbook,embedded,10,589,7,SAT,0.5,3,4,,x", "expected 11 fields, got 12"),
+        ("mean,schoolbook,embedded,10,589,7,MAYBE,0.5,3,4,", "'MAYBE' is not a valid Status"),
+    ], ids=["too-few-fields", "too-many-fields", "bad-status"])
+    def test_malformed_dataset_row_named(self, capsys, tmp_path, row, message):
+        # the # plan= line counts, so the row after a good one is line 4
+        path = tmp_path / "dataset.csv"
+        path.write_text(
+            "# plan=f00dfeed12345678\n" + ",".join(bench.CSV_COLUMNS) + "\n"
+            + "mean,schoolbook,embedded,10,589,7,SAT,0.5,3,4,\n" + row + "\n"
+        )
+        code, out, err = run(capsys, "analyze", "fit", str(path))
+        assert code == EXIT_RUNTIME
+        assert out == ""
+        assert err == f"error: {path}: line 4: {message}\n"
+
     def test_missing_dataset_runtime_error(self, capsys):
         code, _, err = run(capsys, "analyze", "fit", "/nonexistent.csv")
         assert code == 2
