@@ -53,8 +53,8 @@ def fit_exponential(points: list[tuple[int, float]]) -> FitResult:
     if len(points) < 3:
         raise ValueError("need at least 3 points")
     for _, t in points:
-        if t <= 0:
-            raise ValueError(f"non-positive time {t}")
+        if not 0 < t < math.inf:
+            raise ValueError(f"non-positive or non-finite time {t}")
     x = [float(n) for n, _ in points]
     y = [math.log2(t) for _, t in points]
     slope, intercept = statistics.linear_regression(x, y)

@@ -208,8 +208,14 @@ def _run_task(task) -> RunRecord:
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> Dataset:
-    """Execute a plan and return its canonically sorted dataset."""
+    """Execute a plan and return its canonically sorted dataset.
+
+    The pool starts at most one worker process per task.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     tasks = _tasks(plan)
+    workers = min(workers, len(tasks))
     if workers > 1:
         # imported only here: the process pool costs every other run its import time
         from concurrent.futures import ProcessPoolExecutor

@@ -116,6 +116,29 @@ class TestRunExperiment:
         b = run_experiment(tiny_plan(strategy=strategy), workers=2)
         assert strip_times(a) == strip_times(b)
 
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:  # starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        dataset = run_experiment(tiny_plan(), workers=1000)
+        assert sizes == [2 * 2 * 2]  # one worker per task
+        assert strip_times(dataset) == strip_times(run_experiment(tiny_plan()))
+
     def test_trial_division_strategy(self):
         dataset = run_experiment(tiny_plan(strategy="trial_division"))
         assert len(dataset.records) == 2 * 2  # one row per semiprime

@@ -414,6 +414,34 @@ class TestBenchAnalyzeEstimate:
         assert proc.stdout == ""
         assert proc.stderr == "error: costs at 1000000000 bits exceed the float range\n"
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bench_workers_below_one(self, capsys, tmp_path, workers):
+        out_path = tmp_path / "bench.csv"
+        code, out, err = run(
+            capsys, "bench", "--bits", "10", "--per-n", "1", "--seeds", "1",
+            f"--workers={workers}", "--out", str(out_path),
+        )
+        assert code == EXIT_RUNTIME
+        assert out == ""
+        assert err == "error: workers must be >= 1\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_fit_non_finite_wall_time(self, capsys, tmp_path, value):
+        # NaN and Infinity are not JSON, so no fit is printed
+        path = tmp_path / "dataset.csv"
+        rows = [
+            f"mean,schoolbook,embedded,{n},{big_n},1,SAT,{t},3,4,"
+            for n, big_n, t in ((10, 589, "0.5"), (12, 2173, value), (14, 8927, "0.9"))
+        ]
+        path.write_text(
+            "# plan=f00dfeed12345678\n" + ",".join(bench.CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n"
+        )
+        code, out, err = run(capsys, "analyze", "fit", str(path))
+        assert code == EXIT_RUNTIME
+        assert out == ""
+        assert err == f"error: non-positive or non-finite time {value}\n"
+
     @pytest.mark.parametrize("row, message", [
         ("mean,schoolbook,embedded,10,589,7,SAT,0.5,3,4", "expected 11 fields, got 10"),
         ("mean,schoolbook,embedded,10,589,7,SAT,0.5,3,4,,x", "expected 11 fields, got 12"),
@@ -610,7 +638,7 @@ GOLDEN_CASES = {
 GOLDEN_DIGESTS = {
     "bench": {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "bench.csv": "1bcfdef543e6fbf0461adbd83bf3ff333e13a17c0287f487ebee80e68713a9ae",
+        "bench.csv": "95087c76aaaf2d4366fcc6844f3a09b25f277cc647be1aba4f25794ad0c2a09f",
     },
     "bench-trial-division": {
         "stdout": "bc96ce83f93c8691ba26a15cc18d47f486dabd2624d51c39a2c6ce43a98e36d6",

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import random
@@ -8,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from satfactor.cnf import Formula, Status, evaluate
+from satfactor.cnf import Formula, Status, VarMap, evaluate
 from satfactor.encoder import decode, encode, spec_for
 from satfactor.numtheory import gen_semiprime
 from satfactor.solver import (
@@ -106,6 +107,29 @@ class TestOracleEquivalence:
         # the ratio window straddles the phase transition; both outcomes occur
         assert sat > 20 and unsat > 20
 
+    @pytest.mark.slow
+    def test_200_random_formulas_with_partial_varmap(self):
+        # inputs on a random subset fix nothing, so the search must fall back
+        # to the other variables once every input is assigned
+        rng = random.Random(4321)
+        sat = unsat = 0
+        for _ in range(200):
+            num_vars = rng.randint(5, 20)
+            ratio = rng.uniform(3.0, 5.0)
+            formula = random_3cnf(rng, num_vars, max(1, round(ratio * num_vars)))
+            inputs = rng.sample(range(1, num_vars + 1), rng.randint(1, num_vars - 1))
+            k, m = sorted(rng.sample(range(len(inputs) + 1), 2))
+            formula.varmap = VarMap(p_bits=inputs[:k], q_bits=inputs[k:m], sel_vars=inputs[m:])
+            expected = truth_table_status(formula)
+            result = solve(formula, SolverConfig(seed=42))
+            assert result.status is expected
+            if expected is Status.SAT:
+                sat += 1
+                assert evaluate(formula, result.assignment)
+            else:
+                unsat += 1
+        assert sat > 20 and unsat > 20
+
 
 class TestDeterminismAndSeeds:
     def test_identical_runs(self):
@@ -141,12 +165,24 @@ def model_digest(assignment):
     return hashlib.sha256(true_vars.encode()).hexdigest()[:16]
 
 
+def counters(result):
+    return (
+        result.status.name,
+        result.conflicts,
+        result.decisions,
+        result.propagations,
+        model_digest(result.assignment),
+    )
+
+
 class TestGoldenCounters:
     """Search counters pinned to recorded values.
 
     A change to the hot loops that is meant to be implementation-only must
     leave every branching choice, propagation and learnt clause as it was,
-    so these counters may not move.
+    so these counters may not move.  ``test_counters`` solves each instance
+    without its varmap, where branching is plain VSIDS over every variable;
+    ``test_counters_inputs_first`` solves it as encoded, factor bits first.
     """
 
     @pytest.mark.parametrize(
@@ -166,39 +202,80 @@ class TestGoldenCounters:
     )
     def test_counters(self, n, split, seed, conflict_limit, expected):
         formula, _ = encode(spec_for([n], split=split))
+        plain = dataclasses.replace(formula, varmap=None)
+        result = solve(plain, SolverConfig(seed=seed, conflict_limit=conflict_limit))
+        assert counters(result) == expected
+
+    @pytest.mark.parametrize(
+        "n, split, seed, conflict_limit, expected",
+        [
+            (191117, (9, 9), 0, None, ("SAT", 40, 49, 2924, "ccfbc6a8e65c39d9")),
+            (191117, (9, 9), 1, None, ("SAT", 79, 115, 5571, "ccfbc6a8e65c39d9")),
+            (191117, (9, 9), 2, None, ("SAT", 46, 56, 3632, "ccfbc6a8e65c39d9")),
+            (1228109, (10, 11), 0, None, ("UNSAT", 554, 646, 59127, None)),
+            (12218671, (12, 12), 0, 50, ("UNKNOWN", 50, 63, 5041, None)),
+            pytest.param(
+                33554467, (13, 13), 1, None, ("UNSAT", 3454, 3946, 475019, None),
+                marks=pytest.mark.slow,
+                id="prime26-inputs-first",
+            ),
+        ],
+    )
+    def test_counters_inputs_first(self, n, split, seed, conflict_limit, expected):
+        formula, _ = encode(spec_for([n], split=split))
         result = solve(formula, SolverConfig(seed=seed, conflict_limit=conflict_limit))
-        got = (
-            result.status.name,
-            result.conflicts,
-            result.decisions,
-            result.propagations,
-            model_digest(result.assignment),
-        )
-        assert got == expected
+        assert counters(result) == expected
+
+    def test_reduce_and_rescale_inputs_first(self, monkeypatch):
+        # with the varmap the 26-bit row above reaches neither a reduction
+        # nor a rescale: an early reduction and a large bump force both here
+        monkeypatch.setattr("satfactor.solver._REDUCE_START", 100)
+        formula, _ = encode(spec_for([1228109], split=(10, 11)))
+        solver = _ReferenceBranching(formula, SolverConfig(seed=0))
+        solver.var_inc = 1e95
+        result = solver.solve()
+        assert counters(result) == ("UNSAT", 511, 591, 56523, None)
+        assert solver.reduces >= 1 and solver.rescales >= 1
 
 
 class _ReferenceBranching(_Cdcl):
-    """Checks every branching pick against a brute-force argmax."""
+    """Checks every branching pick against a brute-force argmax: over the
+    unassigned inputs (the varmap's p, q and selector bits) while one is
+    left, then over every unassigned variable."""
 
     def __init__(self, formula, cfg):
         super().__init__(formula, cfg)
+        varmap = formula.varmap
+        self.inputs = set() if varmap is None else {*varmap.p_bits, *varmap.q_bits, *varmap.sel_vars}
         self.picks = 0
         self.rescales = 0
+        self.reduces = 0
 
     def _rescale_activity(self):
         self.rescales += 1
         super()._rescale_activity()
+
+    def _reduce_db(self):
+        self.reduces += 1
+        super()._reduce_db()
 
     def _pick_branch_var(self):
         variables = range(1, self.nvars + 1)
         activity = self.activity
         unassigned = {v for v in variables if self.lit_val[2 * v] == 2}
         queued = {v for v in variables if self.queued[v]}
-        live = Counter(v for neg_act, v in self.heap if -neg_act == activity[v])
+        live = Counter()
+        for k, heap in enumerate(self.heaps):
+            for neg_act, v in heap:
+                if -neg_act == activity[v]:
+                    live[v] += 1
+                    # inputs live in heaps[0], every other variable in heaps[1]
+                    assert k == (v not in self.inputs)
         # one live entry per variable, flagged, and one for every unassigned variable
         assert max(live.values(), default=1) == 1
         assert unassigned <= queued == set(live)
-        expected = max(unassigned, key=lambda v: (activity[v], -v), default=None)
+        candidates = (unassigned & self.inputs) or unassigned
+        expected = max(candidates, key=lambda v: (activity[v], -v), default=None)
         var = super()._pick_branch_var()
         assert var == expected
         self.picks += 1
@@ -219,6 +296,15 @@ class TestBranchingReference:
         assert (result.status, result.conflicts, result.decisions, result.propagations) == (
             plain.status, plain.conflicts, plain.decisions, plain.propagations,
         )
+
+    def test_picks_match_argmax_without_varmap(self):
+        formula, _ = encode(spec_for([191117], split=(9, 9)))
+        solver = _ReferenceBranching(dataclasses.replace(formula, varmap=None), SolverConfig(seed=1))
+        result = solver.solve()
+        assert not solver.inputs
+        assert solver.picks > 0
+        # the plain-VSIDS golden row of the same instance and seed
+        assert counters(result) == ("SAT", 119, 181, 6988, "c670d636e01bc16a")
 
     def test_picks_match_argmax_across_rescale(self):
         formula, _ = encode(spec_for([1228109], split=(11, 11)))
@@ -261,14 +347,14 @@ class TestLimits:
 class TestClauseDeletion:
     def test_watches_hold_only_live_clauses(self, monkeypatch):
         # 21-bit prime; without the patch no reduction runs and the search
-        # takes 901 conflicts
+        # takes 675 conflicts
         monkeypatch.setattr("satfactor.solver._REDUCE_START", 100)
         formula, _ = encode(spec_for([2097143], split=(11, 11)))
         cdcl = _Cdcl(formula, SolverConfig(seed=1))
         inputs = {id(c) for ws in cdcl.watches for _, c in ws}
         result = cdcl.solve()
         assert (result.status.name, result.conflicts, result.decisions, result.propagations) == (
-            "UNSAT", 924, 1233, 94646,
+            "UNSAT", 758, 842, 85708,
         )
         holders = {}  # id(clause) -> the literals whose watch lists hold it
         for lit, ws in enumerate(cdcl.watches):
