@@ -20,7 +20,7 @@ import statistics
 import time
 from dataclasses import asdict, dataclass, fields
 
-from .cnf import Formula, Status, VarMap
+from .cnf import Formula, Status, VarMap, _integer
 from .encoder import DecodeError, decode, encode, spec_for
 from .numtheory import Semiprime, gen_semiprime, trial_division
 from .solver import SolveResult, SolverConfig, SolverError, solve, solve_external
@@ -79,14 +79,15 @@ class RunRecord:
 
 CSV_COLUMNS = [f.name for f in fields(RunRecord)]
 
-# How load_csv reads each column that is not an int.
+# How load_csv reads each column that is not an int; an int column takes
+# the DIMACS rule of cnf._integer, an optional sign and then ASCII digits.
 _READERS = {
     "strategy": str,
     "encoder": str,
     "solver": str,
     "status": Status,
     "wall_time_s": float,
-    "matched_target": lambda text: int(text) if text else None,
+    "matched_target": lambda text: _integer(text) if text else None,
 }
 
 
@@ -290,7 +291,7 @@ def load_csv(path) -> Dataset:
         missing = [c for c in CSV_COLUMNS if c not in header]
         extra = [c for c in header if c not in CSV_COLUMNS]
         raise ValueError(f"bad dataset schema: missing={missing} unexpected={extra}")
-    readers = [_READERS.get(c, int) for c in CSV_COLUMNS]
+    readers = [_READERS.get(c, _integer) for c in CSV_COLUMNS]
     records = []
     for row in reader:
         try:

@@ -98,8 +98,8 @@ class Formula:
     """A CNF formula: variable count, clause list, optional decode map.
 
     Construction stores :func:`make_clause` of every clause and rejects a
-    variable beyond ``num_vars``, so whatever it accepts reads back from DIMACS
-    as an equal formula.
+    clause or varmap variable outside 1..``num_vars``, so whatever it accepts
+    reads back from DIMACS as an equal formula (an empty varmap as None).
     The encoder, :func:`parse_dimacs` and :func:`unit_propagate` check their
     clauses as they build them and construct through ``_unchecked_formula``.
     """
@@ -120,6 +120,13 @@ class Formula:
                     raise CnfError(f"literal {lit} out of range for {num_vars} variables")
             clauses.append(clause)
         self.clauses = clauses
+        if self.varmap is not None:
+            for name in ("p_bits", "q_bits", "out_bits", "sel_vars"):
+                for v in getattr(self.varmap, name):
+                    if type(v) is not int or not 1 <= v <= num_vars:
+                        raise CnfError(
+                            f"varmap {name} variable {v!r} out of range for {num_vars} variables"
+                        )
 
 
 def _unchecked_formula(num_vars: int, clauses: list[Clause], varmap: VarMap | None) -> Formula:
@@ -156,9 +163,10 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 def _integer(token: str) -> int:
     """A DIMACS integer: an optional sign, then ASCII digits.  Python's
-    ``int`` alone would also take ``1_0`` and non-ASCII digits."""
+    ``int`` alone would also take ``1_0`` and non-ASCII digits; a rejected
+    token gets the message ``int`` gives."""
     if not _INTEGER.fullmatch(token):
-        raise ValueError(f"not an integer: {token!r}")
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
     return int(token)
 
 

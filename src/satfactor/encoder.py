@@ -8,6 +8,12 @@ pinned to the target number with unit clauses rather than folded away, so
 every instance for a given bitlength shares one circuit structure.  Forcing
 the leading factor bits to 1 excludes the trivial 1 * N solutions.
 
+Every circuit is built from four gate kinds: AND, XOR, full adder and
+multiplexer.  OR and subtraction are derived from them: a OR c is the
+negated AND of the negated inputs, and a - c - b is the full adder on
+(1 - a) + c + b, whose carry is the borrow and whose negated sum is the
+difference.
+
 A "bit" flowing through the builders is either a signed DIMACS literal or a
 Python bool for a known constant; negating a literal is free, and the gate
 wrappers fold constants so padded or degenerate inputs never emit clauses.
@@ -84,11 +90,6 @@ def _and(w: int, inputs: tuple[int, ...]) -> tuple[Clause, ...]:
     return (-a, -c, w), (a, -w), (c, -w)
 
 
-def _or(w: int, inputs: tuple[int, ...]) -> tuple[Clause, ...]:
-    a, c = inputs
-    return (a, c, -w), (-a, w), (-c, w)
-
-
 def _xor(w: int, inputs: tuple[int, ...]) -> tuple[Clause, ...]:
     a, c = inputs
     return (-w, a, c), (-w, -a, -c), (w, -a, c), (w, a, -c)
@@ -100,16 +101,14 @@ def _mux(w: int, inputs: tuple[int, ...]) -> tuple[Clause, ...]:
     return (-sel, -t, w), (-sel, t, -w), (sel, -f, w), (sel, f, -w), (-t, -f, w), (t, f, -w)
 
 
-def _full_adder(s: int, inputs: tuple[int, ...], borrow: bool = False) -> tuple[Clause, ...]:
-    """Sum s and carry w = s + 1 of a + c + d; with ``borrow``, difference
-    and borrow of a - c - d, where the borrow is the carry of (1 - a) + c + d."""
+def _full_adder(s: int, inputs: tuple[int, ...]) -> tuple[Clause, ...]:
+    """Sum s and carry w = s + 1 of a + c + d."""
     a, c, d = inputs
-    m = -a if borrow else a
     w = s + 1
-    return (  # s <-> a xor c xor d, then w <-> at least two of m, c, d
+    return (  # s <-> a xor c xor d, then w <-> at least two of a, c, d
         (-s, a, c, d), (-s, -a, -c, d), (-s, -a, c, -d), (-s, a, -c, -d),
         (s, -a, c, d), (s, a, -c, d), (s, a, c, -d), (s, -a, -c, -d),
-        (-w, m, c), (-w, m, d), (-w, c, d), (w, -m, -c), (w, -m, -d), (w, -c, -d),
+        (-w, a, c), (-w, a, d), (-w, c, d), (w, -a, -c), (w, -a, -d), (w, -c, -d),
     )
 
 
@@ -118,10 +117,8 @@ def _full_adder(s: int, inputs: tuple[int, ...], borrow: bool = False) -> tuple[
 # Every clause a gate emits comes from here.
 _GATES = {
     "and": (1, _and),
-    "or": (1, _or),
     "xor": (1, _xor),
     "full_adder": (2, _full_adder),
-    "full_subtractor": (2, lambda s, inputs: _full_adder(s, inputs, borrow=True)),
     "mux": (1, _mux),
 }
 
@@ -147,7 +144,7 @@ class CircuitBuilder:
     def gate(self, kind: str, *inputs: int) -> int | tuple[int, int]:
         """Define fresh output wires by a gate of ``kind`` (see ``_GATES``)
         over literal inputs; returns the output, or the (sum, carry) pair
-        of an adder or subtractor.
+        of a full adder.
 
         The inputs must be int literals (not bools) of distinct allocated
         variables.  They are checked before the outputs are allocated, so a
@@ -186,17 +183,7 @@ class CircuitBuilder:
         return self.gate("and", a, c)
 
     def bor(self, a, c):
-        if a is True or c is True:
-            return True
-        if a is False:
-            return c
-        if c is False:
-            return a
-        if a == c:
-            return a
-        if a == -c:
-            return True
-        return self.gate("or", a, c)
+        return bnot(self.band(bnot(a), bnot(c)))
 
     def bxor(self, a, c):
         if a is False:
@@ -269,17 +256,10 @@ class CircuitBuilder:
         return self.gate("full_adder", a, c, d)
 
     def bsub(self, a, c, bin_):
-        """Difference and borrow of a - c - bin_ with constant folding."""
-        if c is False and bin_ is False:
-            return a, False
-        if not isinstance(a, bool) and not isinstance(c, bool) and not isinstance(bin_, bool):
-            return self.gate("full_subtractor", a, c, bin_)
-        diff = self.bxor(self.bxor(a, c), bin_)
-        borrow = self.bor(
-            self.bor(self.band(bnot(a), c), self.band(bnot(a), bin_)),
-            self.band(c, bin_),
-        )
-        return diff, borrow
+        """Difference and borrow of a - c - bin_: the borrow is the carry
+        of (1 - a) + c + bin_, and the difference that sum's bit negated."""
+        s, borrow = self.full_add(bnot(a), c, bin_)
+        return bnot(s), borrow
 
     def materialize(self, bit) -> int:
         """Return a plain variable equal to the given bit, allocating if needed."""

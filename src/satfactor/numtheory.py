@@ -12,6 +12,8 @@ import math
 import random
 from dataclasses import dataclass, fields
 
+from .cnf import _integer
+
 # Deterministic Miller-Rabin witnesses, smallest set first.  Below each bound
 # the strong-probable-prime test to the first k prime bases is exact: the
 # bound is the least composite that passes all k of them (Jaeschke, "On strong
@@ -264,7 +266,7 @@ def load_semiprimes_csv(path) -> list[Semiprime]:
             if len(row) != len(SEMIPRIME_CSV_HEADER):
                 raise ValueError(f"{where}: expected {len(SEMIPRIME_CSV_HEADER)} fields, got {len(row)}")
             try:
-                n_bits, value, p, q = map(int, row)
+                n_bits, value, p, q = map(_integer, row)
                 for factor in (p, q):
                     if not is_prime(factor):
                         raise ValueError(f"factor {factor} is not prime")

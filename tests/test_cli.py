@@ -446,7 +446,11 @@ class TestBenchAnalyzeEstimate:
         ("mean,schoolbook,embedded,10,589,7,SAT,0.5,3,4", "expected 11 fields, got 10"),
         ("mean,schoolbook,embedded,10,589,7,SAT,0.5,3,4,,x", "expected 11 fields, got 12"),
         ("mean,schoolbook,embedded,10,589,7,MAYBE,0.5,3,4,", "'MAYBE' is not a valid Status"),
-    ], ids=["too-few-fields", "too-many-fields", "bad-status"])
+        # Python's int would read 10 and 589
+        ("mean,schoolbook,embedded,1_0,589,7,SAT,0.5,3,4,", "invalid literal for int() with base 10: '1_0'"),
+        ("mean,schoolbook,embedded,10,٥٨٩,7,SAT,0.5,3,4,",
+         "invalid literal for int() with base 10: '٥٨٩'"),
+    ], ids=["too-few-fields", "too-many-fields", "bad-status", "underscore", "arabic-indic-digits"])
     def test_malformed_dataset_row_named(self, capsys, tmp_path, row, message):
         # the # plan= line counts, so the row after a good one is line 4
         path = tmp_path / "dataset.csv"
@@ -647,7 +651,7 @@ GOLDEN_DIGESTS = {
         "stdout": "ee23f166c14a1393dad73e9b99b15e581c54209818acf0a4b59abaf38eadc240",
     },
     "community-simplified": {
-        "stdout": "32fba512e4c3aae3771fda7f4c4c8c9a2403ff9597ae42aa053c0fb9c80bab12",
+        "stdout": "72b51331c2f7e1746c547e8baf63fe7cc89d850a76ddd978f12e270645e0fda6",
     },
     "correlate": {
         "stdout": "aa73af5deb74ea36af8f4fb61ad10c6bd755f3b02183a41842b36aca3e5ac6c7",
@@ -660,7 +664,7 @@ GOLDEN_DIGESTS = {
         "stdout": "53d6a7016ac882e91a145a3817e9cd11a03519028c278aadfe452780178db0f5",
     },
     "encode-fold": {
-        "stdout": "4d04df2a459dccb52b28c4387e4ef813c64b417b9b414889ff63d82d4200e6ab",
+        "stdout": "5af473f2b2825d7cc4f8ee423b5240f47352671c6a873d32475a22d424f00ab1",
     },
     "encode-targets": {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

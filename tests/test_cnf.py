@@ -88,6 +88,23 @@ class TestFormula:
         with pytest.raises(CnfError, match="tautological clause"):
             Formula(2, [(1, -1)])
 
+    @pytest.mark.parametrize(
+        "varmap, message",
+        [
+            # its DIMACS text would fail parse_dimacs
+            (VarMap(p_bits=[9], targets=[5]), "varmap p_bits variable 9 out of range"),
+            (VarMap(p_bits=[0]), "varmap p_bits variable 0 out of range"),
+            (VarMap(p_bits=[-2]), "varmap p_bits variable -2 out of range"),
+            (VarMap(q_bits=[1, 4]), "varmap q_bits variable 4 out of range"),
+            (VarMap(out_bits=[3, 0]), "varmap out_bits variable 0 out of range"),
+            (VarMap(sel_vars=[True]), "varmap sel_vars variable True out of range"),
+        ],
+        ids=["beyond", "zero", "negative", "q", "out", "bool"],
+    )
+    def test_varmap_variable_out_of_range(self, varmap, message):
+        with pytest.raises(CnfError, match=message):
+            Formula(3, [(1, 2)], varmap)
+
 
 class TestWriteDimacs:
     def test_single_unit(self):
@@ -332,24 +349,34 @@ def test_dimacs_round_trip_property(formula):
 
 @st.composite
 def clause_lists(draw):
-    """A variable count and clauses, as lists or tuples, of literals in range
-    that may repeat a variable, within a clause or negated."""
+    """A variable count, clauses, as lists or tuples, of literals in range
+    that may repeat a variable, within a clause or negated, and half of the
+    time a varmap whose variables may lie outside 1..num_vars."""
     num_vars = draw(st.integers(min_value=1, max_value=6))
     lit = st.integers(min_value=-num_vars, max_value=num_vars).filter(bool)
     clause = st.lists(lit, min_size=1, max_size=4)
-    return num_vars, draw(st.lists(clause | clause.map(tuple), max_size=8))
+    varmap = None
+    if draw(st.booleans()):
+        bits = st.lists(st.integers(min_value=-1, max_value=num_vars + 1), max_size=3)
+        varmap = VarMap(
+            p_bits=draw(bits), q_bits=draw(bits), out_bits=draw(bits), sel_vars=draw(bits),
+            targets=draw(st.lists(st.integers(min_value=-5, max_value=999), max_size=2)),
+        )
+    return num_vars, draw(st.lists(clause | clause.map(tuple), max_size=8)), varmap
 
 
 @settings(max_examples=300, deadline=None)
 @given(clause_lists())
 def test_every_formula_survives_a_round_trip(case):
-    """Formula rejects a clause that repeats a variable, or the DIMACS text
-    reads back as the same formula."""
-    num_vars, clauses = case
+    """Formula rejects a clause that repeats a variable or a varmap variable
+    out of range, or the DIMACS text reads back as the same formula."""
+    num_vars, clauses, varmap = case
     try:
-        formula = Formula(num_vars, clauses)
+        formula = Formula(num_vars, clauses, varmap)
     except CnfError:
         return
+    if varmap == VarMap():
+        formula.varmap = None  # it writes no line, so it reads back as None
     assert parse_dimacs(write_dimacs(formula)) == formula
 
 

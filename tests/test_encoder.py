@@ -44,10 +44,8 @@ def forced_outputs(builder, input_vars, input_bits, output_vars):
 # gate kind -> its output bits as a function of its input bits
 GATE_FUNCTIONS = {
     "and": lambda a, c: [a and c],
-    "or": lambda a, c: [a or c],
     "xor": lambda a, c: [a != c],
     "full_adder": lambda a, c, d: [bool((a + c + d) & 1), a + c + d >= 2],
-    "full_subtractor": lambda a, c, d: [bool((a - c - d) & 1), a - c - d < 0],
     "mux": lambda sel, t, f: [t if sel else f],
 }
 
@@ -83,6 +81,52 @@ class TestGates:
             assert got == [bool(total & 1), bool(total >> 1)]
 
 
+# constant-folding wrapper -> its output bits as a function of its input bits
+WRAPPER_FUNCTIONS = {
+    "band": lambda a, c: [a and c],
+    "bor": lambda a, c: [a or c],
+    "bxor": lambda a, c: [a != c],
+    "bmux": lambda sel, t, f: [t if sel else f],
+    "half_add": lambda a, c: [bool((a + c) & 1), a + c >= 2],
+    "full_add": lambda a, c, d: [bool((a + c + d) & 1), a + c + d >= 2],
+    "bsub": lambda a, c, d: [bool((a - c - d) & 1), a - c - d < 0],
+}
+
+# the bits each wrapper input is drawn from: both constants, and literals
+# of x, y and z, which are variables 1, 2 and 3
+FOLDING_BITS = [False, True, 1, -1, 2, -2, 3]
+
+
+@pytest.mark.parametrize("wrapper", WRAPPER_FUNCTIONS)
+def test_constant_folding(wrapper):
+    """Every tuple of constants and literals gives the wrapper's function
+    under every assignment of x, y and z, and a result that is a constant
+    or an input literal adds no variable and no clause.  A repeated
+    variable that a wrapper does not fold is refused by the gate's input
+    check, with the builder unchanged."""
+    function = WRAPPER_FUNCTIONS[wrapper]
+    arity = function.__code__.co_argcount
+    for bits in itertools.product(FOLDING_BITS, repeat=arity):
+        b = CircuitBuilder()
+        for _ in range(3):
+            b.fresh_var()
+        try:
+            out = getattr(b, wrapper)(*bits)
+        except EncodeError as exc:
+            assert "repeat a variable" in str(exc), bits
+            assert (b.num_vars, b.clauses) == (3, []), bits
+            continue
+        outs = list(out) if isinstance(out, tuple) else [out]
+        wires = [lit for lit in outs if type(lit) is not bool]
+        if all(abs(lit) <= 3 for lit in wires):
+            assert (b.num_vars, b.clauses) == (3, []), bits
+        for xyz in itertools.product([False, True], repeat=3):
+            forced = dict(zip(wires, forced_outputs(b, [1, 2, 3], list(xyz), list(map(abs, wires)))))
+            got = [lit if type(lit) is bool else forced[lit] == (lit > 0) for lit in outs]
+            inputs = [bit if type(bit) is bool else xyz[abs(bit) - 1] == (bit > 0) for bit in bits]
+            assert got == function(*inputs), (bits, xyz)
+
+
 # gates per kind in the gen_semiprime(n, 1) instance of each encoder, counted
 # at CircuitBuilder.gate, so clauses appended around it lower a count
 GATE_COUNTS = {
@@ -90,8 +134,8 @@ GATE_COUNTS = {
     ("schoolbook", 32): {"and": 272, "xor": 16, "full_adder": 224},
     ("schoolbook", 64): {"and": 1056, "xor": 32, "full_adder": 960},
     ("schoolbook", 128): {"and": 4160, "xor": 64, "full_adder": 3968},
-    ("karatsuba", 128): {"and": 3658, "xor": 1707, "full_adder": 2306, "full_subtractor": 1396},
-    ("division", 128): {"and": 381, "or": 126, "xor": 318, "mux": 8256, "full_subtractor": 8001},
+    ("karatsuba", 128): {"and": 3658, "xor": 1707, "full_adder": 3702},
+    ("division", 128): {"and": 381, "xor": 318, "mux": 8256, "full_adder": 8001},
 }
 
 
@@ -113,10 +157,8 @@ def test_gate_counts(monkeypatch, algorithm, bits):
 # test case -> (gate kind, number of inputs, clauses it appends)
 GATES = {
     "and_gate": ("and", 2, 3),
-    "or_gate": ("or", 2, 3),
     "xor_gate": ("xor", 2, 4),
     "full_adder": ("full_adder", 3, 14),
-    "full_subtractor": ("full_subtractor", 3, 14),
     "mux_gate": ("mux", 3, 6),
 }
 
@@ -142,6 +184,9 @@ def four_var_builder():
 
 
 class TestGateInputCheck:
+    def test_every_kind_is_checked(self):
+        assert {kind for kind, _, _ in GATES.values()} == set(_GATES)
+
     @pytest.mark.parametrize("gate", GATES)
     def test_valid_inputs(self, gate):
         kind, arity, n_clauses = GATES[gate]
@@ -505,12 +550,12 @@ GOLDEN_DIGESTS = {
     ("schoolbook", 16): "e01961ea1a5d5764cedcab6b1c8f0fb5a2633b56950a7ec4e06e2b9e89172153",
     ("schoolbook", 32): "45792ab3c7ceffadc7484b6a8e9f8274ac3923a17c30525f3f3cc5f466392e2b",
     ("schoolbook", 64): "321916e12d76e36b352fe98262536c0331db6a70b94f2aeac4e8d400c5514d0d",
-    ("karatsuba", 16): "b85e07c4500e9b8f2ee1c68d3b598f28f388ae8025b85b72831a5fd503585cdf",
-    ("karatsuba", 32): "9eeb4837c1fad28e4c6b708eb7182c599c8de9dd0d0529f48e2ff9569e2bc10d",
-    ("karatsuba", 64): "e444dc12f472eacf8cf5ac9ddf94fe53b2d03febdb67e335e048febdefb90aff",
-    ("division", 16): "a4ecdc42b66bbf04254ae830478307775565fb08424f453caabbae23ffb5b15a",
-    ("division", 32): "a3ef901812bdb35c6cab059250979ae7b2db99eeb36d180286588e004a34fea0",
-    ("division", 64): "2ee32ad27365b0babbf3f581ff38d8aa076c9067172ab35d6a150baa0c2c5dd0",
+    ("karatsuba", 16): "573abb55e06c41e894837b8be086289074f49ae4d6ab21c5a49d22f89ac1cddb",
+    ("karatsuba", 32): "2d554de9a776b532a8fb3c4e7c65658efcd857190d82571657faff49b6e8d2ae",
+    ("karatsuba", 64): "034d75cc350d0893fcaf827a5434b111b45c511e4915f56249446b7bc9580115",
+    ("division", 16): "88a6e34131c3e6f1df32bbe865780fb9f0fa6f72dd8a65f5769eda8b0e86d28d",
+    ("division", 32): "e768190cd52e949be38a7b14adc68d9631c37bb46a539b4638a0010afed1c6da",
+    ("division", 64): "aa23ee2d935a4520eba8612089a70d1780eb972941dc14c59847f83dbb4180ee",
     ("multi_target", 32): "d841d0b31593ac848d750209d973fc2bd831eeb82d6f66bab513087727f5e1f2",
 }
 

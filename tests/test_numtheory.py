@@ -365,6 +365,9 @@ def test_semiprime_csv_bad_header(tmp_path):
         ("8,225,15,15", "line 3: factor 15 is not prime"),
         ("8,143,1,143", "line 3: factor 1 is not prime"),
         ("8,14x,11,13", "line 3: invalid literal"),
+        # Python's int would read 143 and 1003
+        ("8,1_43,11,13", "line 3: invalid literal"),
+        ("10,١٠٠٣,17,59", "line 3: invalid literal"),
         ("9,143,11,13", "line 3: 143 has 8 bits, expected 9"),
     ],
 )
