@@ -20,7 +20,7 @@ import statistics
 import time
 from dataclasses import asdict, dataclass, fields
 
-from .cnf import Formula, Status, VarMap, _integer
+from .cnf import Formula, Status, VarMap, _decimal, _integer
 from .encoder import DecodeError, decode, encode, spec_for
 from .numtheory import Semiprime, gen_semiprime, trial_division
 from .solver import SolveResult, SolverConfig, SolverError, solve, solve_external
@@ -80,13 +80,14 @@ class RunRecord:
 CSV_COLUMNS = [f.name for f in fields(RunRecord)]
 
 # How load_csv reads each column that is not an int; an int column takes
-# the DIMACS rule of cnf._integer, an optional sign and then ASCII digits.
+# the DIMACS rule of cnf._integer, an optional sign and then ASCII digits,
+# and the time is read by the same ASCII rule through cnf._decimal.
 _READERS = {
     "strategy": str,
     "encoder": str,
     "solver": str,
     "status": Status,
-    "wall_time_s": float,
+    "wall_time_s": _decimal,
     "matched_target": lambda text: _integer(text) if text else None,
 }
 

@@ -98,7 +98,8 @@ class Formula:
     """A CNF formula: variable count, clause list, optional decode map.
 
     Construction stores :func:`make_clause` of every clause and rejects a
-    clause or varmap variable outside 1..``num_vars``, so whatever it accepts
+    clause or varmap variable outside 1..``num_vars`` and a varmap target
+    that is not an int (a bool included), so whatever it accepts
     reads back from DIMACS as an equal formula (an empty varmap as None).
     The encoder, :func:`parse_dimacs` and :func:`unit_propagate` check their
     clauses as they build them and construct through ``_unchecked_formula``.
@@ -127,6 +128,9 @@ class Formula:
                         raise CnfError(
                             f"varmap {name} variable {v!r} out of range for {num_vars} variables"
                         )
+            for target in self.varmap.targets:
+                if type(target) is not int:
+                    raise CnfError(f"varmap target {target!r} is not an int")
 
 
 def _unchecked_formula(num_vars: int, clauses: list[Clause], varmap: VarMap | None) -> Formula:
@@ -168,6 +172,20 @@ def _integer(token: str) -> int:
     if not _INTEGER.fullmatch(token):
         raise ValueError(f"invalid literal for int() with base 10: {token!r}")
     return int(token)
+
+
+_DECIMAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)")
+
+
+def _decimal(token: str) -> float:
+    """A float by the same ASCII rule: an optional sign, then digits with an
+    optional point and exponent, or ``inf`` / ``nan`` as ``repr`` writes
+    them.  Python's ``float`` alone would also take ``0_5``, non-ASCII
+    digits, surrounding spaces and ``Infinity``; a rejected token gets the
+    message ``float`` gives."""
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
 
 
 def _parse_header(line: str, line_no: int) -> tuple[int, int]:

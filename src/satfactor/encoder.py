@@ -221,6 +221,14 @@ class CircuitBuilder:
             return t
         if t == -f:
             return bnot(self.bxor(sel, t))
+        if t == sel:
+            return self.bor(sel, f)
+        if t == -sel:
+            return self.band(bnot(sel), f)
+        if f == sel:
+            return self.band(sel, t)
+        if f == -sel:
+            return self.bor(bnot(sel), t)
         return self.gate("mux", sel, t, f)
 
     def half_add(self, a, c):
@@ -335,18 +343,16 @@ def add_vectors(builder: CircuitBuilder, a: list, b: list) -> list:
     return out
 
 
-def sub_vectors(builder: CircuitBuilder, a: list, b: list) -> list:
-    """Two's-complement difference a - b, for callers that guarantee a >= b.
-
-    Returns len(a) bits; the final borrow is provably zero and dropped.
-    """
+def sub_vectors(builder: CircuitBuilder, a: list, b: list) -> tuple[list, int | bool]:
+    """Two's-complement difference a - b over len(a) bits, and the borrow
+    out, which is true exactly when a < b."""
     borrow = False
     out = []
     for i in range(len(a)):
         y = b[i] if i < len(b) else False
         diff, borrow = builder.bsub(a[i], y, borrow)
         out.append(diff)
-    return out
+    return out, borrow
 
 
 def karatsuba_product(builder: CircuitBuilder, p_bits: list, q_bits: list) -> list:
@@ -361,7 +367,9 @@ def karatsuba_product(builder: CircuitBuilder, p_bits: list, q_bits: list) -> li
     sp = add_vectors(builder, p_lo, p_hi)
     sq = add_vectors(builder, q_lo, q_hi)
     z1m = karatsuba_product(builder, sp, sq)
-    z1 = sub_vectors(builder, sub_vectors(builder, z1m, z2), z0)
+    # z1m = z0 + z2 + p_lo * q_hi + p_hi * q_lo, so neither subtraction
+    # goes below zero and both borrows are provably zero
+    z1 = sub_vectors(builder, sub_vectors(builder, z1m, z2)[0], z0)[0]
     width = len(p_bits) + len(q_bits)
     columns: list[list] = [[] for _ in range(width)]
     for vec, shift in ((z0, 0), (z1, h), (z2, 2 * h)):
@@ -371,78 +379,49 @@ def karatsuba_product(builder: CircuitBuilder, p_bits: list, q_bits: list) -> li
     return compress_columns(builder, columns, width)
 
 
-def _multiplier(spec: EncodeSpec, product_fn):
-    """A builder holding the factor variables, their leading bits pinned to 1,
-    and their product; returns it with the factor and output variables."""
-    builder = CircuitBuilder()
-    m_p, m_q = spec.factor_split
-    p_bits = [builder.fresh_var() for _ in range(m_p)]
-    q_bits = [builder.fresh_var() for _ in range(m_q)]
-    # excludes the trivial factorizations 1 * N and N * 1
-    builder.add(p_bits[-1])
-    builder.add(q_bits[-1])
-    out = product_fn(builder, p_bits, q_bits)
-    out_vars = [builder.materialize(bit) for bit in out]
-    return builder, p_bits, q_bits, out_vars
+def _pin_targets(builder: CircuitBuilder, out_vars: list[int], targets: list[int]) -> list[int]:
+    """Pin ``out_vars`` to a single target with unit clauses, or else to one
+    of the targets: selector k is forced true exactly when the output equals
+    target k, and a last clause demands some selector.  Returns the selectors."""
+    if len(targets) == 1:
+        for i, v in enumerate(out_vars):
+            builder.add(v if (targets[0] >> i) & 1 else -v)
+        return []
+    sel_vars = []
+    for target in targets:
+        sel = builder.fresh_var()
+        sel_vars.append(sel)
+        mismatch_lits = []
+        for i, v in enumerate(out_vars):
+            bit_set = (target >> i) & 1
+            builder.add(-sel, v if bit_set else -v)
+            mismatch_lits.append(-v if bit_set else v)
+        builder.add(sel, *mismatch_lits)
+    builder.add(*sel_vars)
+    return sel_vars
 
 
-def _fix_output(builder: CircuitBuilder, out_vars: list[int], value: int) -> None:
-    for i, v in enumerate(out_vars):
-        builder.add(v if (value >> i) & 1 else -v)
-
-
-def _single_target(spec: EncodeSpec) -> int:
-    if len(spec.targets) != 1:
-        raise EncodeError(f"{spec.algorithm} encoding takes a single target")
-    return spec.targets[0]
-
-
-def _product_encoding(spec: EncodeSpec, product_fn) -> tuple[Formula, VarMap]:
-    target = _single_target(spec)
-    builder, p_bits, q_bits, out_vars = _multiplier(spec, product_fn)
-    _fix_output(builder, out_vars, target)
-    varmap = VarMap(p_bits=p_bits, q_bits=q_bits, out_bits=out_vars, targets=[target])
-    return _unchecked_formula(builder.num_vars, builder.clauses, varmap), varmap
-
-
-def encode_schoolbook(spec: EncodeSpec) -> tuple[Formula, VarMap]:
-    """Schoolbook multiplier with maximal full-adder column compression."""
-    return _product_encoding(spec, schoolbook_product)
-
-
-def encode_karatsuba(spec: EncodeSpec) -> tuple[Formula, VarMap]:
-    """Karatsuba multiplier; middle term via two two's-complement subtractions."""
-    return _product_encoding(spec, karatsuba_product)
-
-
-def encode_division(spec: EncodeSpec) -> tuple[Formula, VarMap]:
-    """Restoring-division circuit N / p = q with remainder forced to zero.
+def _division(builder: CircuitBuilder, spec: EncodeSpec) -> tuple[list[int], list[int], list[int]]:
+    """Restoring-division circuit N / p = q with remainder forced to zero;
+    returns the divisor, quotient and dividend variables.
 
     The dividend enters as variables pinned by unit clauses, mirroring how
-    the multiplier encodings pin their output, so instances for equal
-    bitlengths keep one structure.  p_bits is the divisor, q_bits the
-    quotient.
+    the multipliers pin their output, so instances for equal bitlengths
+    keep one structure.
     """
-    target = _single_target(spec)
     m_p, m_q = spec.factor_split
     n = spec.n_bits
-    builder = CircuitBuilder()
     divisor = [builder.fresh_var() for _ in range(m_p)]
     dividend = [builder.fresh_var() for _ in range(n)]
     builder.add(divisor[-1])
-    _fix_output(builder, dividend, target)
+    _pin_targets(builder, dividend, spec.targets)
 
     width = m_p + 1  # restored remainder stays below the divisor
     remainder: list = [False] * width
     quotient: list[int] = []
     for i in range(n - 1, -1, -1):
         shifted = [dividend[i]] + remainder[: width - 1]
-        diff = []
-        borrow = False
-        for k in range(width):
-            d_bit = divisor[k] if k < m_p else False
-            bit, borrow = builder.bsub(shifted[k], d_bit, borrow)
-            diff.append(bit)
+        diff, borrow = sub_vectors(builder, shifted, divisor)
         took = bnot(borrow)  # true when the shifted remainder >= divisor
         if i < m_q:
             quotient.append(builder.materialize(took))
@@ -458,56 +437,36 @@ def encode_division(spec: EncodeSpec) -> tuple[Formula, VarMap]:
             raise EncodeError("remainder provably nonzero")
         if bit is not False:
             builder.add(bnot(bit))
-
-    varmap = VarMap(p_bits=divisor, q_bits=quotient, out_bits=dividend, targets=[target])
-    return _unchecked_formula(builder.num_vars, builder.clauses, varmap), varmap
+    return divisor, quotient, dividend
 
 
-def encode_multi_target(spec: EncodeSpec) -> tuple[Formula, VarMap]:
-    """One multiplier feeding per-target equality checks joined by an OR.
+_PRODUCTS = {"schoolbook": schoolbook_product, "karatsuba": karatsuba_product}
 
-    Selector k is forced true exactly when the product equals target k, and
-    the final clause demands that some selector holds, so any model factors
-    one of the targets and names which.
-    """
-    builder, p_bits, q_bits, out_vars = _multiplier(spec, schoolbook_product)
-    sel_vars = []
-    for target in spec.targets:
-        sel = builder.fresh_var()
-        sel_vars.append(sel)
-        mismatch_lits = []
-        for i, v in enumerate(out_vars):
-            bit_set = (target >> i) & 1
-            builder.add(-sel, v if bit_set else -v)
-            mismatch_lits.append(-v if bit_set else v)
-        builder.add(sel, *mismatch_lits)
-    builder.add(*sel_vars)
-    varmap = VarMap(
-        p_bits=p_bits,
-        q_bits=q_bits,
-        out_bits=out_vars,
-        sel_vars=sel_vars,
-        targets=list(spec.targets),
-    )
-    return _unchecked_formula(builder.num_vars, builder.clauses, varmap), varmap
-
-
-_ENCODERS = {
-    "schoolbook": encode_schoolbook,
-    "karatsuba": encode_karatsuba,
-    "division": encode_division,
-}
-
-ALGORITHMS = tuple(_ENCODERS)
+ALGORITHMS = (*_PRODUCTS, "division")
 
 
 def encode(spec: EncodeSpec) -> tuple[Formula, VarMap]:
-    """Dispatch on algorithm; multiple targets always use the selector encoding."""
-    if len(spec.targets) > 1:
-        if spec.algorithm != "schoolbook":
-            raise EncodeError("multi-target instances use the schoolbook multiplier")
-        return encode_multi_target(spec)
-    return _ENCODERS[spec.algorithm](spec)
+    """The instance of ``spec``: its algorithm's circuit, the output pinned
+    to the target (or, schoolbook only, to one of several).  A multiplier's
+    leading factor bits are pinned to 1, excluding 1 * N and N * 1; division's
+    p_bits are the divisor and q_bits the quotient."""
+    if len(spec.targets) > 1 and spec.algorithm != "schoolbook":
+        raise EncodeError("multi-target instances use the schoolbook multiplier")
+    builder = CircuitBuilder()
+    sel_vars: list[int] = []
+    if spec.algorithm == "division":
+        p_bits, q_bits, out_vars = _division(builder, spec)
+    else:
+        m_p, m_q = spec.factor_split
+        p_bits = [builder.fresh_var() for _ in range(m_p)]
+        q_bits = [builder.fresh_var() for _ in range(m_q)]
+        builder.add(p_bits[-1])
+        builder.add(q_bits[-1])
+        out = _PRODUCTS[spec.algorithm](builder, p_bits, q_bits)
+        out_vars = [builder.materialize(bit) for bit in out]
+        sel_vars = _pin_targets(builder, out_vars, spec.targets)
+    varmap = VarMap(p_bits, q_bits, out_vars, sel_vars, list(spec.targets))
+    return _unchecked_formula(builder.num_vars, builder.clauses, varmap), varmap
 
 
 def decode(varmap: VarMap, assignment: Assignment) -> tuple[int, int, int]:

@@ -16,7 +16,7 @@ from satfactor import analysis
 from satfactor.bench import ExperimentPlan, aggregate, run_experiment
 from satfactor.cli import correlation_table
 from satfactor.cnf import Formula, Status, evaluate
-from satfactor.encoder import decode, encode, encode_schoolbook, spec_for
+from satfactor.encoder import decode, encode, spec_for
 from satfactor.numtheory import gen_semiprime, is_prime
 from satfactor.solver import SolverConfig, solve
 
@@ -78,7 +78,7 @@ def test_criterion_1_encoder_size_scaling():
     with criterion(1, "encoder size scaling"):
         for n in (32, 64, 128):
             s = gen_semiprime(n, seed=n)
-            formula = encode_schoolbook(spec_for([s.value], split=s.split))[0]
+            formula = encode(spec_for([s.value], split=s.split))[0]
             n_vars, n_clauses = formula.num_vars, len(formula.clauses)
             avg_literals = sum(map(len, formula.clauses)) / n_clauses
             model_vars, model_clauses = schoolbook_size_model(n)
@@ -93,7 +93,7 @@ def test_criterion_2_end_to_end_correctness():
         for n_bits in range(8, 21):
             for i in range(50):
                 s = gen_semiprime(n_bits, seed=1000 * n_bits + i)
-                formula, varmap = encode_schoolbook(spec_for([s.value], split=s.split))
+                formula, varmap = encode(spec_for([s.value], split=s.split))
                 result = solve(formula, SolverConfig(seed=i))
                 if result.status is not Status.SAT:
                     failures.append((n_bits, s.value, result.status))
@@ -114,7 +114,7 @@ def test_criterion_3_prime_inputs_unsat():
             candidate = (1 << (n_bits - 1)) | rng.getrandbits(n_bits - 1) | 1
             if not is_prime(candidate):
                 continue
-            result = solve(encode_schoolbook(spec_for([candidate]))[0], SolverConfig(seed=checked))
+            result = solve(encode(spec_for([candidate]))[0], SolverConfig(seed=checked))
             assert result.status is Status.UNSAT, candidate
             checked += 1
 
@@ -247,7 +247,7 @@ def test_criterion_10_high_modularity_of_instances():
     with criterion(10, "factoring instances have Q above the hardness band"):
         for n_bits in (16, 24, 32):
             s = gen_semiprime(n_bits, seed=n_bits + 1)
-            formula, _ = encode_schoolbook(spec_for([s.value], split=s.split))
+            formula, _ = encode(spec_for([s.value], split=s.split))
             graph = analysis.build_vig(formula)
             result = analysis.cnm_communities(graph)
             print(f"\n  n={n_bits}: Q={result.q:.3f}")

@@ -450,7 +450,16 @@ class TestBenchAnalyzeEstimate:
         ("mean,schoolbook,embedded,1_0,589,7,SAT,0.5,3,4,", "invalid literal for int() with base 10: '1_0'"),
         ("mean,schoolbook,embedded,10,٥٨٩,7,SAT,0.5,3,4,",
          "invalid literal for int() with base 10: '٥٨٩'"),
-    ], ids=["too-few-fields", "too-many-fields", "bad-status", "underscore", "arabic-indic-digits"])
+        # Python's float would read 5.0, 0.7, 1.5 and inf
+        ("mean,schoolbook,embedded,10,589,7,SAT,0_5,3,4,", "could not convert string to float: '0_5'"),
+        ("mean,schoolbook,embedded,10,589,7,SAT,٠.٧,3,4,", "could not convert string to float: '٠.٧'"),
+        ("mean,schoolbook,embedded,10,589,7,SAT, 1.5 ,3,4,", "could not convert string to float: ' 1.5 '"),
+        ("mean,schoolbook,embedded,10,589,7,SAT,Infinity,3,4,",
+         "could not convert string to float: 'Infinity'"),
+    ], ids=[
+        "too-few-fields", "too-many-fields", "bad-status", "underscore", "arabic-indic-digits",
+        "underscore-time", "arabic-indic-time", "spaced-time", "infinity-time",
+    ])
     def test_malformed_dataset_row_named(self, capsys, tmp_path, row, message):
         # the # plan= line counts, so the row after a good one is line 4
         path = tmp_path / "dataset.csv"

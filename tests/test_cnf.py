@@ -98,8 +98,11 @@ class TestFormula:
             (VarMap(q_bits=[1, 4]), "varmap q_bits variable 4 out of range"),
             (VarMap(out_bits=[3, 0]), "varmap out_bits variable 0 out of range"),
             (VarMap(sel_vars=[True]), "varmap sel_vars variable True out of range"),
+            # written as c target 0 True and c target 0 1.5
+            (VarMap(p_bits=[1], targets=[True]), "varmap target True is not an int"),
+            (VarMap(targets=[35, 1.5]), "varmap target 1.5 is not an int"),
         ],
-        ids=["beyond", "zero", "negative", "q", "out", "bool"],
+        ids=["beyond", "zero", "negative", "q", "out", "bool", "bool target", "float target"],
     )
     def test_varmap_variable_out_of_range(self, varmap, message):
         with pytest.raises(CnfError, match=message):
@@ -351,7 +354,8 @@ def test_dimacs_round_trip_property(formula):
 def clause_lists(draw):
     """A variable count, clauses, as lists or tuples, of literals in range
     that may repeat a variable, within a clause or negated, and half of the
-    time a varmap whose variables may lie outside 1..num_vars."""
+    time a varmap whose variables may lie outside 1..num_vars and whose
+    targets may be bools or floats."""
     num_vars = draw(st.integers(min_value=1, max_value=6))
     lit = st.integers(min_value=-num_vars, max_value=num_vars).filter(bool)
     clause = st.lists(lit, min_size=1, max_size=4)
@@ -360,7 +364,9 @@ def clause_lists(draw):
         bits = st.lists(st.integers(min_value=-1, max_value=num_vars + 1), max_size=3)
         varmap = VarMap(
             p_bits=draw(bits), q_bits=draw(bits), out_bits=draw(bits), sel_vars=draw(bits),
-            targets=draw(st.lists(st.integers(min_value=-5, max_value=999), max_size=2)),
+            targets=draw(st.lists(
+                st.integers(min_value=-5, max_value=999) | st.booleans() | st.floats(), max_size=2
+            )),
         )
     return num_vars, draw(st.lists(clause | clause.map(tuple), max_size=8)), varmap
 
@@ -368,8 +374,9 @@ def clause_lists(draw):
 @settings(max_examples=300, deadline=None)
 @given(clause_lists())
 def test_every_formula_survives_a_round_trip(case):
-    """Formula rejects a clause that repeats a variable or a varmap variable
-    out of range, or the DIMACS text reads back as the same formula."""
+    """Formula rejects a clause that repeats a variable, a varmap variable
+    out of range or a target that is no int, or the DIMACS text reads back
+    as the same formula."""
     num_vars, clauses, varmap = case
     try:
         formula = Formula(num_vars, clauses, varmap)

@@ -16,11 +16,8 @@ from satfactor.encoder import (
     _GATES,
     decode,
     encode,
-    encode_division,
-    encode_karatsuba,
-    encode_multi_target,
-    encode_schoolbook,
     spec_for,
+    sub_vectors,
 )
 from satfactor.numtheory import gen_semiprime
 from satfactor.solver import SolverConfig, solve
@@ -101,21 +98,15 @@ FOLDING_BITS = [False, True, 1, -1, 2, -2, 3]
 def test_constant_folding(wrapper):
     """Every tuple of constants and literals gives the wrapper's function
     under every assignment of x, y and z, and a result that is a constant
-    or an input literal adds no variable and no clause.  A repeated
-    variable that a wrapper does not fold is refused by the gate's input
-    check, with the builder unchanged."""
+    or an input literal adds no variable and no clause.  Every wrapper folds
+    a repeated variable, so none of them reaches the gate's input check."""
     function = WRAPPER_FUNCTIONS[wrapper]
     arity = function.__code__.co_argcount
     for bits in itertools.product(FOLDING_BITS, repeat=arity):
         b = CircuitBuilder()
         for _ in range(3):
             b.fresh_var()
-        try:
-            out = getattr(b, wrapper)(*bits)
-        except EncodeError as exc:
-            assert "repeat a variable" in str(exc), bits
-            assert (b.num_vars, b.clauses) == (3, []), bits
-            continue
+        out = getattr(b, wrapper)(*bits)
         outs = list(out) if isinstance(out, tuple) else [out]
         wires = [lit for lit in outs if type(lit) is not bool]
         if all(abs(lit) <= 3 for lit in wires):
@@ -125,6 +116,23 @@ def test_constant_folding(wrapper):
             got = [lit if type(lit) is bool else forced[lit] == (lit > 0) for lit in outs]
             inputs = [bit if type(bit) is bool else xyz[abs(bit) - 1] == (bit > 0) for bit in bits]
             assert got == function(*inputs), (bits, xyz)
+
+
+def test_sub_vectors_borrow():
+    """Every 3-bit a less every 1- to 3-bit b: the difference bits are
+    (a - b) mod 8 and the borrow out is a < b."""
+    for width in (1, 2, 3):
+        for a, c in itertools.product(range(8), range(1 << width)):
+            b = CircuitBuilder()
+            a_vars = [b.fresh_var() for _ in range(3)]
+            c_vars = [b.fresh_var() for _ in range(width)]
+            diff, borrow = sub_vectors(b, a_vars, c_vars)
+            outs = diff + [borrow]
+            bits = [bool(x >> i & 1) for x, w in ((a, 3), (c, width)) for i in range(w)]
+            forced = forced_outputs(b, a_vars + c_vars, bits, [abs(lit) for lit in outs])
+            got = [value == (lit > 0) for value, lit in zip(forced, outs)]
+            assert sum(bit << i for i, bit in enumerate(got[:3])) == (a - c) % 8, (a, c)
+            assert got[3] == (a < c), (a, c)
 
 
 # gates per kind in the gen_semiprime(n, 1) instance of each encoder, counted
@@ -252,12 +260,12 @@ def brute_force_pairs(n_value, split):
 class TestSchoolbook:
     def test_35_has_exactly_the_brute_force_models(self):
         spec = EncodeSpec(n_bits=6, targets=[35], factor_split=(3, 3))
-        formula, varmap = encode_schoolbook(spec)
+        formula, varmap = encode(spec)
         assert sorted(all_models(formula, varmap)) == sorted(brute_force_pairs(35, (3, 3)))
 
     def test_35_decodes_to_5_7(self):
         spec = EncodeSpec(n_bits=6, targets=[35], factor_split=(3, 3))
-        formula, varmap = encode_schoolbook(spec)
+        formula, varmap = encode(spec)
         result = solve(formula, SolverConfig(seed=3))
         p, q, matched = decode(varmap, result.assignment)
         assert {p, q} == {5, 7}
@@ -265,7 +273,7 @@ class TestSchoolbook:
 
     def test_prime_13_unsat(self):
         spec = EncodeSpec(n_bits=4, targets=[13], factor_split=(2, 2))
-        formula, _ = encode_schoolbook(spec)
+        formula, _ = encode(spec)
         assert solve(formula).status is Status.UNSAT
 
     def test_size_model_within_15_percent(self):
@@ -275,7 +283,7 @@ class TestSchoolbook:
                 n_bits=n, targets=[s.value],
                 factor_split=(s.p.bit_length(), s.q.bit_length()),
             )
-            formula = encode_schoolbook(spec)[0]
+            formula = encode(spec)[0]
             n_clauses = len(formula.clauses)
             model_vars, model_clauses = schoolbook_size_model(n)
             assert abs(formula.num_vars - model_vars) <= 0.15 * model_vars
@@ -289,7 +297,7 @@ class TestSchoolbook:
                 n_bits=n, targets=[s.value],
                 factor_split=(s.p.bit_length(), s.q.bit_length()),
             )
-            return encode_schoolbook(spec)[0].num_vars
+            return encode(spec)[0].num_vars
 
         assert abs(vars_at(64) / vars_at(32) - 4) <= 0.3
         assert abs(vars_at(128) / vars_at(64) - 4) <= 0.3
@@ -307,7 +315,7 @@ class TestSchoolbook:
         ]
         for n_value, split, expected in cases:
             spec = EncodeSpec(n_bits=n_value.bit_length(), targets=[n_value], factor_split=split)
-            formula, varmap = encode_schoolbook(spec)
+            formula, varmap = encode(spec)
             models = all_models(formula, varmap)
             assert len(models) == expected, (n_value, split, models)
             for p, q in models:
@@ -323,7 +331,7 @@ class TestSchoolbook:
             s = gen_semiprime(n, rng.getrandbits(32))
             split = (s.p.bit_length(), s.q.bit_length())
             spec = EncodeSpec(n_bits=n, targets=[s.value], factor_split=split)
-            formula, varmap = encode_schoolbook(spec)
+            formula, varmap = encode(spec)
             models = all_models(formula, varmap)
             assert sorted(models) == sorted(brute_force_pairs(s.value, split))
 
@@ -331,7 +339,7 @@ class TestSchoolbook:
 class TestKaratsuba:
     def test_35_same_solutions_as_schoolbook(self):
         spec = EncodeSpec(n_bits=6, targets=[35], algorithm="karatsuba", factor_split=(3, 3))
-        formula, varmap = encode_karatsuba(spec)
+        formula, varmap = encode(spec)
         result = solve(formula, SolverConfig(seed=1))
         p, q, _ = decode(varmap, result.assignment)
         assert {p, q} == {5, 7}
@@ -343,7 +351,7 @@ class TestKaratsuba:
             n_bits=20, targets=[s.value], algorithm="karatsuba",
             factor_split=(s.p.bit_length(), s.q.bit_length()),
         )
-        formula, varmap = encode_karatsuba(spec)
+        formula, varmap = encode(spec)
         result = solve(formula, SolverConfig(seed=1))
         assert result.status is Status.SAT
         p, q, _ = decode(varmap, result.assignment)
@@ -357,8 +365,8 @@ class TestKaratsuba:
             split = (s.p.bit_length(), s.q.bit_length())
             spec_s = EncodeSpec(n_bits=n, targets=[s.value], factor_split=split)
             spec_k = EncodeSpec(n_bits=n, targets=[s.value], algorithm="karatsuba", factor_split=split)
-            r_s = solve(encode_schoolbook(spec_s)[0], SolverConfig(seed=0))
-            f_k, vm_k = encode_karatsuba(spec_k)
+            r_s = solve(encode(spec_s)[0], SolverConfig(seed=0))
+            f_k, vm_k = encode(spec_k)
             r_k = solve(f_k, SolverConfig(seed=0))
             assert r_s.status is Status.SAT and r_k.status is Status.SAT
             p, q, _ = decode(vm_k, r_k.assignment)
@@ -371,7 +379,7 @@ class TestKaratsuba:
                 n_bits=n, targets=[s.value], algorithm="karatsuba",
                 factor_split=(s.p.bit_length(), s.q.bit_length()),
             )
-            return encode_karatsuba(spec)[0].num_vars
+            return encode(spec)[0].num_vars
 
         sizes = {n: vars_at(n) for n in (16, 32, 64, 128)}
         assert sizes[32] / sizes[16] < 4
@@ -382,7 +390,7 @@ class TestKaratsuba:
 class TestDivision:
     def test_35(self):
         spec = EncodeSpec(n_bits=6, targets=[35], algorithm="division", factor_split=(3, 3))
-        formula, varmap = encode_division(spec)
+        formula, varmap = encode(spec)
         result = solve(formula, SolverConfig(seed=0))
         assert result.status is Status.SAT
         p, q, _ = decode(varmap, result.assignment)
@@ -390,7 +398,7 @@ class TestDivision:
 
     def test_prime_unsat(self):
         spec = EncodeSpec(n_bits=4, targets=[13], algorithm="division", factor_split=(2, 2))
-        formula, _ = encode_division(spec)
+        formula, _ = encode(spec)
         assert solve(formula).status is Status.UNSAT
 
     def test_larger_than_schoolbook(self):
@@ -400,8 +408,8 @@ class TestDivision:
                 n_bits=n_value.bit_length(), targets=[n_value],
                 algorithm="division", factor_split=split,
             )
-            mult = encode_schoolbook(spec_m)[0]
-            div = encode_division(spec_d)[0]
+            mult = encode(spec_m)[0]
+            div = encode(spec_d)[0]
             assert div.num_vars > mult.num_vars
             assert len(div.clauses) > len(mult.clauses)
 
@@ -412,26 +420,27 @@ class TestDivision:
             s = gen_semiprime(n, rng.getrandbits(32))
             split = (s.p.bit_length(), s.q.bit_length())
             spec = EncodeSpec(n_bits=n, targets=[s.value], algorithm="division", factor_split=split)
-            formula, varmap = encode_division(spec)
+            formula, varmap = encode(spec)
             models = all_models(formula, varmap)
             assert sorted(set(models)) == sorted(brute_force_pairs(s.value, split))
 
 
 class TestMultiTarget:
     def test_single_target_equisatisfiable(self):
-        base = EncodeSpec(n_bits=6, targets=[35], factor_split=(3, 3))
-        multi = EncodeSpec(n_bits=6, targets=[35], factor_split=(3, 3))
-        f_multi, vm_multi = encode_multi_target(multi)
-        r = solve(f_multi, SolverConfig(seed=0))
+        # one target is pinned by unit clauses, two through a selector each
+        formula, varmap = encode(EncodeSpec(n_bits=6, targets=[35], factor_split=(3, 3)))
+        assert varmap.sel_vars == []
+        r = solve(formula, SolverConfig(seed=0))
         assert r.status is Status.SAT
-        p, q, matched = decode(vm_multi, r.assignment)
+        p, q, matched = decode(varmap, r.assignment)
         assert p * q == 35 and matched == 0
-        assert solve(encode_schoolbook(base)[0]).status is Status.SAT
+        _, varmap = encode(EncodeSpec(n_bits=6, targets=[35, 55], factor_split=(3, 4)))
+        assert len(varmap.sel_vars) == 2
 
     def test_two_targets_matches_exactly_one(self):
         # with split (3, 4): 35 = 5*7 cannot fit, 55 = 5*11 can
         spec = EncodeSpec(n_bits=6, targets=[35, 55], factor_split=(3, 4))
-        formula, varmap = encode_multi_target(spec)
+        formula, varmap = encode(spec)
         result = solve(formula, SolverConfig(seed=2))
         assert result.status is Status.SAT
         p, q, matched = decode(varmap, result.assignment)
@@ -441,7 +450,7 @@ class TestMultiTarget:
     def test_many_targets_same_bitlength(self):
         targets = sorted({gen_semiprime(10, seed).value for seed in range(30)})
         spec = EncodeSpec(n_bits=10, targets=targets)
-        formula, varmap = encode_multi_target(spec)
+        formula, varmap = encode(spec)
         for seed in range(5):
             result = solve(formula, SolverConfig(seed=seed))
             assert result.status is Status.SAT
@@ -450,7 +459,7 @@ class TestMultiTarget:
 
     def test_prime_only_unsat(self):
         spec = EncodeSpec(n_bits=4, targets=[13], factor_split=(2, 2))
-        formula, _ = encode_multi_target(spec)
+        formula, _ = encode(spec)
         assert solve(formula).status is Status.UNSAT
 
     def test_duplicate_targets_rejected(self):
@@ -535,7 +544,7 @@ def test_varmap_survives_dimacs(tmp_path):
     from satfactor.cnf import parse_dimacs, write_dimacs
 
     spec = EncodeSpec(n_bits=6, targets=[35], factor_split=(3, 3))
-    formula, varmap = encode_schoolbook(spec)
+    formula, varmap = encode(spec)
     parsed = parse_dimacs(write_dimacs(formula))
     assert parsed.varmap == varmap
     assert parsed.varmap.targets == [35]
