@@ -156,7 +156,12 @@ def cmd_factor(args) -> int:
     if saw_unknown:
         print("unknown")
         return EXIT_UNKNOWN
-    print("no factorization")
+    if numtheory.is_prime(n_value):
+        print("no factorization")
+    else:
+        # the search covered these factor widths only, and N factors otherwise
+        widths = " or ".join(f"{m_p},{m_q}" for m_p, m_q in splits)
+        print(f"no factorization with factor bitlengths {widths} ({n_value} is not prime)")
     return EXIT_OK
 
 

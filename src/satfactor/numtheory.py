@@ -120,10 +120,12 @@ def _random_prime(rng: random.Random, bits: int) -> int:
 
 
 def factor_splits(n_bits: int) -> list[tuple[int, int]]:
-    """Factor-bitlength pairs (m_p, m_q), m_p <= m_q, that can produce an
+    """The balanced factor-bitlength pairs (m_p, m_q), m_p <= m_q, of an
     n_bits-bit product: m_p + m_q in {n_bits, n_bits+1} with |m_p - m_q| <= 1.
 
-    The balanced split comes first.
+    These are the widths of a semi-prime's two near-equal factors, not every
+    pair that can produce an n_bits-bit product: 3063 = 3 * 1021 (widths 2
+    and 10) has no factor pair here.  The balanced split comes first.
     """
     half_up = (n_bits + 1) // 2
     if n_bits % 2 == 0:

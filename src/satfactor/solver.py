@@ -3,10 +3,12 @@
 The embedded solver implements the classic loop: two-watched-literal
 propagation, first-UIP conflict analysis, activity-based branching with
 decay, phase saving, and Luby-scheduled restarts.  When the formula carries
-a varmap, its factor and selector bits are decided first: they fix every
-circuit wire by propagation.  The other variables are decided, in the same
-activity order, only once every input is assigned, so the search stays
-complete on any formula; without a varmap it is plain VSIDS.  All
+a varmap, its selectors and then p's bits, from bit 0 upward, are decided
+first, in that fixed order: for odd p, p mod 2^k fixes q mod 2^k through
+the product's low columns, so each decided bit of p lets propagation fix
+the next bit of q.  Every other variable, q's bits among them, is decided
+in activity order (VSIDS) once every input is assigned, so the search
+stays complete on any formula; without a varmap it is plain VSIDS.  All
 randomness (initial polarities, occasional random polarity decisions) comes
 from the config seed, so a (formula, config) pair always reproduces the
 same search, the same statistics, and the same model.
@@ -92,24 +94,17 @@ class _Cdcl:
         self.saved_phase = [rng.random() < 0.5 for _ in range(n + 1)]
         self.activity = [0.0] * (n + 1)
         self.var_inc = 1.0
-        # Two lazy max-heaps of (-activity, var): heaps[0] holds the varmap's
-        # inputs (factor bits and selectors), which fix every other wire by
-        # propagation, and heaps[1] the rest; home[v] names v's heap.
-        # Branching empties heaps[0] first, so without a varmap the search
-        # is plain VSIDS over heaps[1].  queued[v] is 1 while v's entry at its
-        # current activity sits in its heap.  Every unassigned variable has
-        # exactly one live entry; an assigned one may have none, because a bump
-        # (only assigned variables are bumped) leaves its entry stale and
-        # backtracking pushes a fresh one.  Stale entries are skipped when popped.
-        self.home = bytearray(b"\x01") * (n + 1)
+        # Branching decides the first unassigned entry of inputs (the
+        # selectors, then p from bit 0 up), and only once all are assigned
+        # pops the lazy max-heap of (-activity, var) over every variable.
+        # queued[v] is 1 while v's entry at its current activity sits in the
+        # heap.  Every unassigned variable has exactly one live entry; an
+        # assigned one may have none, because a bump (only assigned variables
+        # are bumped) leaves its entry stale and backtracking pushes a fresh
+        # one.  Stale entries are skipped when popped.
         varmap = formula.varmap
-        if varmap is not None:
-            for v in (*varmap.p_bits, *varmap.q_bits, *varmap.sel_vars):
-                if 0 < v <= n:
-                    self.home[v] = 0
-        self.heaps = ([], [])
-        for v in range(1, n + 1):
-            self.heaps[self.home[v]].append((0.0, v))
+        self.inputs = [] if varmap is None else [*varmap.sel_vars, *varmap.p_bits]
+        self.heap = [(0.0, v) for v in range(1, n + 1)]
         self.queued = bytearray([0] + [1] * n)
 
         self.watches: list[list] = [[] for _ in range(2 * n + 2)]
@@ -168,8 +163,7 @@ class _Cdcl:
         lit_val = self.lit_val
         saved_phase = self.saved_phase
         reason = self.reason
-        heaps = self.heaps
-        home = self.home
+        heap = self.heap
         queued = self.queued
         activity = self.activity
         for lit in trail[bound:]:
@@ -179,7 +173,7 @@ class _Cdcl:
             lit_val[lit ^ 1] = _VAL_UNDEF
             reason[var] = None
             if not queued[var]:
-                heappush(heaps[home[var]], (-activity[var], var))
+                heappush(heap, (-activity[var], var))
                 queued[var] = 1
         del trail[bound:]
         del trail_lim[target_level:]
@@ -192,30 +186,32 @@ class _Cdcl:
         self.activity = [a * scale for a in self.activity]
         self.var_inc *= scale
         lit_val = self.lit_val
-        self.heaps = ([], [])
+        self.heap = []
         self.queued = bytearray(self.nvars + 1)
         for v in range(1, self.nvars + 1):
             if lit_val[2 * v] == _VAL_UNDEF:
-                self.heaps[self.home[v]].append((-self.activity[v], v))
+                self.heap.append((-self.activity[v], v))
                 self.queued[v] = 1
-        for heap in self.heaps:
-            heapify(heap)
+        heapify(self.heap)
 
     def _pick_branch_var(self) -> int | None:
-        """The unassigned input with the highest (activity, -var); once every
-        input is assigned, the unassigned variable with the highest
-        (activity, -var); None when all are assigned."""
+        """The first unassigned entry of inputs; once every input is assigned,
+        the unassigned variable with the highest (activity, -var); None when
+        all are assigned."""
+        lit_val = self.lit_val
+        for var in self.inputs:
+            if lit_val[2 * var] == _VAL_UNDEF:
+                return var
         activity = self.activity
         queued = self.queued
-        lit_val = self.lit_val
-        for heap in self.heaps:
-            while heap:
-                neg_act, var = heappop(heap)
-                if -neg_act != activity[var]:
-                    continue  # stale: pushed before the last bump of var
-                queued[var] = 0
-                if lit_val[2 * var] == _VAL_UNDEF:
-                    return var
+        heap = self.heap
+        while heap:
+            neg_act, var = heappop(heap)
+            if -neg_act != activity[var]:
+                continue  # stale: pushed before the last bump of var
+            queued[var] = 0
+            if lit_val[2 * var] == _VAL_UNDEF:
+                return var
         return None
 
     # -- propagation

@@ -203,6 +203,20 @@ class TestFactor:
         assert code == EXIT_OK
         assert out.strip() == "no factorization"
 
+    @pytest.mark.parametrize(
+        "args, widths",
+        [
+            (["--n", "3063"], "6,6 or 6,7"),  # 3 * 1021
+            (["--n", "1022"], "5,5 or 5,6"),  # 2 * 7 * 73
+            (["--n", "899", "--split", "5,6"], "5,6"),  # 29 * 31, outside the given split
+        ],
+    )
+    def test_composite_outside_searched_widths(self, capsys, args, widths):
+        code, out, _ = run(capsys, "factor", *args)
+        assert code == EXIT_OK
+        n = args[1]
+        assert out.strip() == f"no factorization with factor bitlengths {widths} ({n} is not prime)"
+
     def test_143(self, capsys):
         code, out, _ = run(capsys, "factor", "--n", "143")
         assert code == EXIT_OK
@@ -651,7 +665,7 @@ GOLDEN_CASES = {
 GOLDEN_DIGESTS = {
     "bench": {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "bench.csv": "95087c76aaaf2d4366fcc6844f3a09b25f277cc647be1aba4f25794ad0c2a09f",
+        "bench.csv": "12bd1b2513e867a475a27fa11baa67e44fcd5c4be0b6ffa65a44e2be87e27f60",
     },
     "bench-trial-division": {
         "stdout": "bc96ce83f93c8691ba26a15cc18d47f486dabd2624d51c39a2c6ce43a98e36d6",

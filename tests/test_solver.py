@@ -182,7 +182,8 @@ class TestGoldenCounters:
     leave every branching choice, propagation and learnt clause as it was,
     so these counters may not move.  ``test_counters`` solves each instance
     without its varmap, where branching is plain VSIDS over every variable;
-    ``test_counters_inputs_first`` solves it as encoded, factor bits first.
+    ``test_counters_inputs_first`` solves it as encoded: the selectors, then
+    p from its lowest bit, then VSIDS.
     """
 
     @pytest.mark.parametrize(
@@ -209,13 +210,13 @@ class TestGoldenCounters:
     @pytest.mark.parametrize(
         "n, split, seed, conflict_limit, expected",
         [
-            (191117, (9, 9), 0, None, ("SAT", 40, 49, 2924, "ccfbc6a8e65c39d9")),
-            (191117, (9, 9), 1, None, ("SAT", 79, 115, 5571, "ccfbc6a8e65c39d9")),
-            (191117, (9, 9), 2, None, ("SAT", 46, 56, 3632, "ccfbc6a8e65c39d9")),
-            (1228109, (10, 11), 0, None, ("UNSAT", 554, 646, 59127, None)),
-            (12218671, (12, 12), 0, 50, ("UNKNOWN", 50, 63, 5041, None)),
+            (191117, (9, 9), 0, None, ("SAT", 28, 30, 2358, "ccfbc6a8e65c39d9")),
+            (191117, (9, 9), 1, None, ("SAT", 74, 80, 5862, "c670d636e01bc16a")),
+            (191117, (9, 9), 2, None, ("SAT", 21, 24, 1742, "ccfbc6a8e65c39d9")),
+            (1228109, (10, 11), 0, None, ("UNSAT", 238, 245, 26485, None)),
+            (12218671, (12, 12), 0, 50, ("UNKNOWN", 50, 54, 5877, None)),
             pytest.param(
-                33554467, (13, 13), 1, None, ("UNSAT", 3454, 3946, 475019, None),
+                33554467, (13, 13), 1, None, ("UNSAT", 1672, 1736, 205427, None),
                 marks=pytest.mark.slow,
                 id="prime26-inputs-first",
             ),
@@ -234,20 +235,21 @@ class TestGoldenCounters:
         solver = _ReferenceBranching(formula, SolverConfig(seed=0))
         solver.var_inc = 1e95
         result = solver.solve()
-        assert counters(result) == ("UNSAT", 511, 591, 56523, None)
+        assert counters(result) == ("UNSAT", 238, 245, 26485, None)
         assert solver.reduces >= 1 and solver.rescales >= 1
 
 
 class _ReferenceBranching(_Cdcl):
-    """Checks every branching pick against a brute-force argmax: over the
-    unassigned inputs (the varmap's p, q and selector bits) while one is
-    left, then over every unassigned variable."""
+    """Checks every branching pick against a brute-force rule: the first
+    unassigned entry of the varmap's ``sel_vars + p_bits`` while one is
+    left, then the unassigned variable with the highest (activity, -var)."""
 
     def __init__(self, formula, cfg):
         super().__init__(formula, cfg)
         varmap = formula.varmap
-        self.inputs = set() if varmap is None else {*varmap.p_bits, *varmap.q_bits, *varmap.sel_vars}
-        self.picks = 0
+        self.order = [] if varmap is None else [*varmap.sel_vars, *varmap.p_bits]
+        self.input_picks = 0
+        self.heap_picks = 0
         self.rescales = 0
         self.reduces = 0
 
@@ -264,35 +266,44 @@ class _ReferenceBranching(_Cdcl):
         activity = self.activity
         unassigned = {v for v in variables if self.lit_val[2 * v] == 2}
         queued = {v for v in variables if self.queued[v]}
-        live = Counter()
-        for k, heap in enumerate(self.heaps):
-            for neg_act, v in heap:
-                if -neg_act == activity[v]:
-                    live[v] += 1
-                    # inputs live in heaps[0], every other variable in heaps[1]
-                    assert k == (v not in self.inputs)
+        live = Counter(v for neg_act, v in self.heap if -neg_act == activity[v])
         # one live entry per variable, flagged, and one for every unassigned variable
         assert max(live.values(), default=1) == 1
         assert unassigned <= queued == set(live)
-        candidates = (unassigned & self.inputs) or unassigned
-        expected = max(candidates, key=lambda v: (activity[v], -v), default=None)
+        expected = next((v for v in self.order if v in unassigned), None)
+        if expected is not None:
+            self.input_picks += 1
+        elif unassigned:
+            expected = max(unassigned, key=lambda v: (activity[v], -v))
+            self.heap_picks += 1
         var = super()._pick_branch_var()
         assert var == expected
-        self.picks += 1
         return var
 
 
 class TestBranchingReference:
     @pytest.mark.parametrize(
-        "n, split, seed",
-        [(191117, (9, 9), 1), (1228109, (10, 11), 0), (40301, (8, 8), 3)],
+        "targets, algorithm, split, seed",
+        [
+            ([191117], "schoolbook", (9, 9), 1),
+            ([1228109], "schoolbook", (10, 11), 0),
+            ([40301], "schoolbook", (8, 8), 3),
+            ([43621, 48319, 59989], "schoolbook", (8, 8), 2),
+            ([191117], "division", (9, 9), 1),
+            ([191117], "karatsuba", (9, 9), 1),
+        ],
+        ids=["191117-split0-1", "1228109-split1-0", "40301-split2-3", "three-targets", "division", "karatsuba"],
     )
-    def test_picks_match_argmax(self, n, split, seed):
-        formula, _ = encode(spec_for([n], split=split))
+    def test_picks_match_argmax(self, targets, algorithm, split, seed):
+        formula, varmap = encode(spec_for(targets, algorithm, split))
         solver = _ReferenceBranching(formula, SolverConfig(seed=seed))
         result = solver.solve()
         plain = solve(formula, SolverConfig(seed=seed))
-        assert solver.picks > 0
+        assert len(varmap.sel_vars) == (len(targets) if len(targets) > 1 else 0)
+        assert solver.input_picks > 0
+        # once the selectors and p are decided, propagation fixes every wire
+        # of the schoolbook and division circuits; karatsuba's need VSIDS picks
+        assert (solver.heap_picks > 0) == (algorithm == "karatsuba")
         assert (result.status, result.conflicts, result.decisions, result.propagations) == (
             plain.status, plain.conflicts, plain.decisions, plain.propagations,
         )
@@ -301,19 +312,19 @@ class TestBranchingReference:
         formula, _ = encode(spec_for([191117], split=(9, 9)))
         solver = _ReferenceBranching(dataclasses.replace(formula, varmap=None), SolverConfig(seed=1))
         result = solver.solve()
-        assert not solver.inputs
-        assert solver.picks > 0
+        assert not solver.order
+        assert solver.input_picks == 0 and solver.heap_picks > 0
         # the plain-VSIDS golden row of the same instance and seed
         assert counters(result) == ("SAT", 119, 181, 6988, "c670d636e01bc16a")
 
     def test_picks_match_argmax_across_rescale(self):
-        formula, _ = encode(spec_for([1228109], split=(11, 11)))
+        formula, _ = encode(spec_for([1228109], "karatsuba", (11, 11)))
         solver = _ReferenceBranching(formula, SolverConfig(seed=2))
         solver.var_inc = 1e100  # the second conflict's bumps pass the rescale threshold
         result = solver.solve()
         assert result.status is Status.UNSAT
         assert solver.rescales >= 1
-        assert solver.picks > 0
+        assert solver.input_picks > 0 and solver.heap_picks > 0
 
 
 class TestLimits:
@@ -347,15 +358,16 @@ class TestLimits:
 class TestClauseDeletion:
     def test_watches_hold_only_live_clauses(self, monkeypatch):
         # 21-bit prime; without the patch no reduction runs and the search
-        # takes 675 conflicts
+        # takes 355 conflicts
         monkeypatch.setattr("satfactor.solver._REDUCE_START", 100)
         formula, _ = encode(spec_for([2097143], split=(11, 11)))
-        cdcl = _Cdcl(formula, SolverConfig(seed=1))
+        cdcl = _ReferenceBranching(formula, SolverConfig(seed=1))
         inputs = {id(c) for ws in cdcl.watches for _, c in ws}
         result = cdcl.solve()
         assert (result.status.name, result.conflicts, result.decisions, result.propagations) == (
-            "UNSAT", 758, 842, 85708,
+            "UNSAT", 362, 378, 39551,
         )
+        assert cdcl.reduces >= 1
         holders = {}  # id(clause) -> the literals whose watch lists hold it
         for lit, ws in enumerate(cdcl.watches):
             for _, c in ws:
