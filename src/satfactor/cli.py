@@ -76,6 +76,17 @@ def _parse_bits(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
+def _time_limit(text: str) -> float:
+    """--time-limit: seconds, a finite number >= 0 (0 gives UNKNOWN at once)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite number of seconds >= 0, got {text!r}")
+    return value
+
+
 def _parse_split(text: str | None) -> tuple[int, int] | None:
     if text is None:
         return None
@@ -286,7 +297,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve a DIMACS file with the embedded solver")
     p.add_argument("instance")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_time_limit, default=None)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("factor", help="factor one number end to end")
@@ -295,7 +306,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--solver-cmd", default=None, help="external solver command")
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_time_limit, default=None)
     p.set_defaults(fn=cmd_factor)
 
     p = sub.add_parser("bench", help="run an experiment plan, write a dataset CSV")
@@ -306,7 +317,7 @@ def build_parser() -> _Parser:
     p.add_argument("--encoder", choices=ALGORITHMS, default="schoolbook")
     p.add_argument("--solver-cmd", default=None, help="external solver command")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_time_limit, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_bench)

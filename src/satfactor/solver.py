@@ -8,10 +8,12 @@ first, in that fixed order: for odd p, p mod 2^k fixes q mod 2^k through
 the product's low columns, so each decided bit of p lets propagation fix
 the next bit of q.  Every other variable, q's bits among them, is decided
 in activity order (VSIDS) once every input is assigned, so the search
-stays complete on any formula; without a varmap it is plain VSIDS.  All
-randomness (initial polarities, occasional random polarity decisions) comes
-from the config seed, so a (formula, config) pair always reproduces the
-same search, the same statistics, and the same model.
+stays complete on any formula; without a varmap it is plain VSIDS.  The
+VSIDS heap is built at the first VSIDS pick, so a search that propagation
+finishes from the inputs never builds it.  All randomness (initial
+polarities, occasional random polarity decisions) comes from the config
+seed, so a (formula, config) pair always reproduces the same search, the
+same statistics, and the same model.
 
 Literals are encoded internally as 2*var for the positive and 2*var+1 for
 the negative literal; negation is a xor, which keeps the hot propagation
@@ -58,6 +60,10 @@ class SolverConfig:
     conflict_limit: int | None = None
     time_limit: float | None = None
 
+    def __post_init__(self):
+        if self.time_limit != self.time_limit:  # only NaN differs from itself
+            raise ValueError("time_limit must be a number, got nan")
+
 
 @dataclass
 class SolveResult:
@@ -96,16 +102,16 @@ class _Cdcl:
         self.var_inc = 1.0
         # Branching decides the first unassigned entry of inputs (the
         # selectors, then p from bit 0 up), and only once all are assigned
-        # pops the lazy max-heap of (-activity, var) over every variable.
-        # queued[v] is 1 while v's entry at its current activity sits in the
-        # heap.  Every unassigned variable has exactly one live entry; an
-        # assigned one may have none, because a bump (only assigned variables
-        # are bumped) leaves its entry stale and backtracking pushes a fresh
-        # one.  Stale entries are skipped when popped.
+        # pops the lazy max-heap of (-activity, var), which that first VSIDS
+        # pick builds.  queued[v] is 1 while v's entry at its current activity
+        # sits in the heap.  Once built, every unassigned variable has exactly
+        # one live entry; an assigned one may have none, because a bump (only
+        # assigned variables are bumped) leaves its entry stale and
+        # backtracking pushes a fresh one.  Stale entries are skipped.
         varmap = formula.varmap
         self.inputs = [] if varmap is None else [*varmap.sel_vars, *varmap.p_bits]
-        self.heap = [(0.0, v) for v in range(1, n + 1)]
-        self.queued = bytearray([0] + [1] * n)
+        self.heap: list | None = None
+        self.queued = bytearray(n + 1)
 
         self.watches: list[list] = [[] for _ in range(2 * n + 2)]
         self.trail: list[int] = []
@@ -120,25 +126,20 @@ class _Cdcl:
         self.decisions = 0
         self.propagations = 0
 
+        # code[lit] is the internal code of lit; a negative lit indexes from the end
+        code = [2 * v for v in range(n + 1)] + [2 * v + 1 for v in range(n, 0, -1)]
+        watches, lit_val, coded = self.watches, self.lit_val, code.__getitem__
         self.ok = True
         for clause in formula.clauses:
-            self._add_input_clause(clause)
-
-    # -- construction
-
-    def _add_input_clause(self, clause) -> None:
-        if not self.ok:
-            return
-        lits = [2 * lit if lit > 0 else -2 * lit + 1 for lit in clause]
-        if len(lits) == 1:
-            lit = lits[0]
-            val = self.lit_val[lit]
-            if val == _VAL_FALSE:
+            lits = list(map(coded, clause))
+            if len(lits) > 1:
+                watches[lits[0]].append((lits[1], lits))
+                watches[lits[1]].append((lits[0], lits))
+            elif lit_val[lits[0]] == _VAL_FALSE:
                 self.ok = False
-            elif val == _VAL_UNDEF:
-                self._assign(lit, None)
-            return
-        self._attach(lits)
+                break
+            elif lit_val[lits[0]] == _VAL_UNDEF:
+                self._assign(lits[0], None)
 
     def _attach(self, lits: list[int]) -> None:
         self.watches[lits[0]].append((lits[1], lits))
@@ -163,18 +164,20 @@ class _Cdcl:
         lit_val = self.lit_val
         saved_phase = self.saved_phase
         reason = self.reason
-        heap = self.heap
-        queued = self.queued
-        activity = self.activity
         for lit in trail[bound:]:
             var = lit >> 1
             saved_phase[var] = not lit & 1
             lit_val[lit] = _VAL_UNDEF
             lit_val[lit ^ 1] = _VAL_UNDEF
             reason[var] = None
-            if not queued[var]:
-                heappush(heap, (-activity[var], var))
-                queued[var] = 1
+        heap = self.heap
+        if heap is not None:  # None until the first VSIDS pick builds it
+            queued, activity = self.queued, self.activity
+            for lit in trail[bound:]:
+                var = lit >> 1
+                if not queued[var]:
+                    heappush(heap, (-activity[var], var))
+                    queued[var] = 1
         del trail[bound:]
         del trail_lim[target_level:]
         self.qhead = bound
@@ -185,6 +188,11 @@ class _Cdcl:
         scale = 1e-100
         self.activity = [a * scale for a in self.activity]
         self.var_inc *= scale
+        if self.heap is not None:
+            self._build_heap()
+
+    def _build_heap(self) -> None:
+        """One entry at the current activity for each unassigned variable."""
         lit_val = self.lit_val
         self.heap = []
         self.queued = bytearray(self.nvars + 1)
@@ -198,21 +206,22 @@ class _Cdcl:
         """The first unassigned entry of inputs; once every input is assigned,
         the unassigned variable with the highest (activity, -var); None when
         all are assigned."""
+        if len(self.trail) == self.nvars:
+            return None
         lit_val = self.lit_val
         for var in self.inputs:
             if lit_val[2 * var] == _VAL_UNDEF:
                 return var
-        activity = self.activity
-        queued = self.queued
-        heap = self.heap
-        while heap:
+        if self.heap is None:
+            self._build_heap()
+        activity, queued, heap = self.activity, self.queued, self.heap
+        while True:  # the trail is not full, so an unassigned variable has a live entry
             neg_act, var = heappop(heap)
             if -neg_act != activity[var]:
                 continue  # stale: pushed before the last bump of var
             queued[var] = 0
             if lit_val[2 * var] == _VAL_UNDEF:
                 return var
-        return None
 
     # -- propagation
 

@@ -559,6 +559,46 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert "bad split" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["solve", "f.cnf"],
+            ["factor", "--n", "35"],
+            ["factor", "--n", "35", "--solver-cmd", EXTERNAL],
+            ["bench", "--bits", "10", "--per-n", "1", "--seeds", "1", "--out", "bench.csv"],
+        ],
+        ids=["solve", "factor", "factor-external", "bench"],
+    )
+    @pytest.mark.parametrize("value", ["nan", "-1", "-0.5", "inf", "-inf", "soon"])
+    def test_bad_time_limit(self, capsys, tmp_path, monkeypatch, command, value):
+        # NaN was ignored by the embedded solver and crashed the external
+        # route; a negative limit gave UNKNOWN: now each is a usage error
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cnf").write_text("p cnf 1 1\n1 0\n")
+        code, out, err = run(capsys, *command, f"--time-limit={value}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            f"usage error: argument --time-limit: expected a finite number of seconds >= 0, got {value!r}\n"
+        )
+        assert not (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "0.0"])
+    def test_zero_time_limit_unknown(self, capsys, tmp_path, value):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 2 2\n1 0\n-1 2 0\n")
+        code, out, _ = run(capsys, "solve", str(path), "--time-limit", value)
+        assert code == EXIT_UNKNOWN
+        assert parse_solver_output(out) == (Status.UNKNOWN, None)
+        out_path = tmp_path / "bench.csv"
+        code, _, err = run(
+            capsys, "bench", "--bits", "10", "--per-n", "1", "--seeds", "2",
+            "--time-limit", value, "--out", str(out_path),
+        )
+        assert code == EXIT_OK
+        assert err == "note: 2 runs returned UNKNOWN\n"
+        assert [row.status for row in bench.load_csv(str(out_path)).records] == [Status.UNKNOWN] * 2
+
 
 # The CI bare-install job runs the same line against the installed package.
 LEAN_IMPORT = (

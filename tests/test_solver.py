@@ -242,7 +242,9 @@ class TestGoldenCounters:
 class _ReferenceBranching(_Cdcl):
     """Checks every branching pick against a brute-force rule: the first
     unassigned entry of the varmap's ``sel_vars + p_bits`` while one is
-    left, then the unassigned variable with the highest (activity, -var)."""
+    left, then the unassigned variable with the highest (activity, -var).
+    The VSIDS heap is None until the first VSIDS pick builds it; from then
+    on every unassigned variable has exactly one live entry."""
 
     def __init__(self, formula, cfg):
         super().__init__(formula, cfg)
@@ -265,11 +267,14 @@ class _ReferenceBranching(_Cdcl):
         variables = range(1, self.nvars + 1)
         activity = self.activity
         unassigned = {v for v in variables if self.lit_val[2 * v] == 2}
-        queued = {v for v in variables if self.queued[v]}
-        live = Counter(v for neg_act, v in self.heap if -neg_act == activity[v])
-        # one live entry per variable, flagged, and one for every unassigned variable
-        assert max(live.values(), default=1) == 1
-        assert unassigned <= queued == set(live)
+        if self.heap is None:
+            assert self.heap_picks == 0
+        else:
+            queued = {v for v in variables if self.queued[v]}
+            live = Counter(v for neg_act, v in self.heap if -neg_act == activity[v])
+            # one live entry per variable, flagged, and one for every unassigned variable
+            assert max(live.values(), default=1) == 1
+            assert unassigned <= queued == set(live)
         expected = next((v for v in self.order if v in unassigned), None)
         if expected is not None:
             self.input_picks += 1
@@ -278,6 +283,8 @@ class _ReferenceBranching(_Cdcl):
             self.heap_picks += 1
         var = super()._pick_branch_var()
         assert var == expected
+        # built by the first VSIDS pick, and by no other
+        assert (self.heap is None) == (self.heap_picks == 0)
         return var
 
 
@@ -327,6 +334,111 @@ class TestBranchingReference:
         assert solver.input_picks > 0 and solver.heap_picks > 0
 
 
+class TestLazyHeap:
+    """The VSIDS heap is built by the first VSIDS pick and not before."""
+
+    @pytest.mark.parametrize(
+        "targets, algorithm, split, seed, varmap, built",
+        [
+            ([191117], "schoolbook", (9, 9), 1, True, False),
+            ([1228109], "schoolbook", (10, 11), 0, True, False),
+            ([40301], "schoolbook", (8, 8), 3, True, False),
+            ([43621, 48319, 59989], "schoolbook", (8, 8), 2, True, False),
+            ([191117], "division", (9, 9), 1, True, False),
+            ([191117], "karatsuba", (9, 9), 1, True, True),
+            ([191117], "schoolbook", (9, 9), 1, False, True),
+            ([191117], "division", (9, 9), 1, False, True),
+        ],
+        ids=[
+            "191117-split0-1", "1228109-split1-0", "40301-split2-3", "three-targets",
+            "division", "karatsuba", "schoolbook-no-varmap", "division-no-varmap",
+        ],
+    )
+    def test_built_only_by_a_vsids_pick(self, targets, algorithm, split, seed, varmap, built):
+        formula, _ = encode(spec_for(targets, algorithm, split))
+        if not varmap:
+            formula = dataclasses.replace(formula, varmap=None)
+        solver = _Cdcl(formula, SolverConfig(seed=seed))
+        assert solver.heap is None
+        solver.solve()
+        assert (solver.heap is not None) == built
+
+    def test_rescale_before_first_vsids_pick(self):
+        formula, _ = encode(spec_for([1228109], "schoolbook", (10, 11)))
+        solver = _ReferenceBranching(formula, SolverConfig(seed=0))
+        solver.var_inc = 1e100  # the first conflict's bumps pass the rescale threshold
+        result = solver.solve()
+        assert solver.rescales >= 1 and solver.heap_picks == 0
+        assert solver.heap is None
+        # activity never picks here, so the search is the unscaled one
+        assert counters(result) == ("UNSAT", 238, 245, 26485, None)
+
+
+def _reference_build(formula):
+    """Watch lists, trail and ok of a clause-by-clause build: each clause's
+    literals coded with a sign test, units assigned in order until the first
+    one that contradicts the trail."""
+    n = formula.num_vars
+    watches = [[] for _ in range(2 * n + 2)]
+    trail = []
+    for clause in formula.clauses:
+        lits = [2 * lit if lit > 0 else -2 * lit + 1 for lit in clause]
+        if len(lits) > 1:
+            watches[lits[0]].append((lits[1], lits))
+            watches[lits[1]].append((lits[0], lits))
+        elif lits[0] ^ 1 in trail:
+            return watches, trail, False
+        elif lits[0] not in trail:
+            trail.append(lits[0])
+    return watches, trail, True
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_units_on_the_edge_variables(self, n, sign):
+        formula = Formula(n, [(sign * 1,), (sign * n,)])
+        solver = _Cdcl(formula, SolverConfig())
+        assert solver.trail == sorted({2 * 1 + (sign < 0), 2 * n + (sign < 0)})
+        result = solver.solve()
+        assert result.status is Status.SAT
+        assert result.assignment[1] is (sign > 0) and result.assignment[n] is (sign > 0)
+
+    def test_contradicting_units_mid_list(self):
+        formula = Formula(4, [(1, 2), (3,), (-4, 2), (-3,), (1, 4), (-1,)])
+        solver = _Cdcl(formula, SolverConfig())
+        # the build stops at (-3,): (1, 4) is never attached, (-1,) never assigned
+        assert not solver.ok
+        assert solver.trail == [6]
+        assert sum(len(ws) for ws in solver.watches) == 4
+        result = solver.solve()
+        assert result.status is Status.UNSAT
+        assert (result.conflicts, result.decisions, result.propagations) == (0, 0, 0)
+
+    def test_repeated_unit_sat(self):
+        result = solve(Formula(2, [(1,), (-2, 1), (1,)]))
+        assert result.status is Status.SAT
+        assert result.assignment[1] is True
+
+    def test_units_only_sat(self):
+        result = solve(Formula(5, [(1,), (-2,), (5,), (-4,), (3,)]))
+        assert result.status is Status.SAT and result.decisions == 0
+        assert result.assignment == {1: True, 2: False, 3: True, 4: False, 5: True}
+
+    def test_watches_match_reference_build(self):
+        rng = random.Random(2024)
+        for _ in range(50):
+            n = rng.randint(1, 12)
+            clauses = []
+            for _ in range(rng.randint(1, 30)):
+                width = rng.choice([1, 1, 2, 3, 4])
+                variables = rng.sample(range(1, n + 1), min(width, n))
+                clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
+            formula = Formula(n, clauses)
+            solver = _Cdcl(formula, SolverConfig(seed=rng.randrange(100)))
+            assert (solver.watches, solver.trail, solver.ok) == _reference_build(formula)
+
+
 class TestLimits:
     def test_conflict_limit_unknown(self):
         s = gen_semiprime(20, seed=3)
@@ -340,6 +452,11 @@ class TestLimits:
         formula, _ = encode(spec_for([s.value], split=s.split))
         result = solve(formula, SolverConfig(seed=0, time_limit=0.0))
         assert result.status is Status.UNKNOWN
+
+    def test_nan_time_limit_rejected(self):
+        # NaN compares false with every elapsed time, so it would never stop the search
+        with pytest.raises(ValueError, match="time_limit"):
+            SolverConfig(time_limit=float("nan"))
 
     def test_generous_limits_still_solve(self):
         s = gen_semiprime(10, seed=5)
