@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 from .cnf import Formula, Status, VarMap, _decimal, _integer
 from .encoder import DecodeError, decode, encode, spec_for
 from .numtheory import Semiprime, gen_semiprime, trial_division
-from .solver import SolveResult, SolverConfig, SolverError, solve, solve_external
+from .solver import SolveResult, SolverConfig, SolverError, check_time_limit, solve, solve_external
 
 log = logging.getLogger(__name__)
 
@@ -54,6 +54,7 @@ class ExperimentPlan:
             raise ValueError("counts must be >= 1")
         if not self.bitlengths or min(self.bitlengths) < 6:
             raise ValueError("bitlengths must be >= 6")
+        check_time_limit(self.time_limit)
 
     def fingerprint(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)

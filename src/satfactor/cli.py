@@ -19,7 +19,7 @@ from . import analysis, bench, numtheory
 from .cnf import Status, parse_dimacs, unit_propagate, write_dimacs, write_solver_output
 from .encoder import ALGORITHMS, EncodeSpec, encode, spec_for
 from .numtheory import factor_splits, gen_semiprime, metrics, trial_division, MetricVector
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, check_time_limit, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,12 +77,11 @@ def _parse_bits(text: str) -> list[int]:
 
 
 def _time_limit(text: str) -> float:
-    """--time-limit: seconds, a finite number >= 0 (0 gives UNKNOWN at once)."""
+    """--time-limit: seconds, by the rule of ``check_time_limit``."""
     try:
         value = float(text)
+        check_time_limit(value)
     except ValueError:
-        value = float("nan")
-    if not 0 <= value < float("inf"):
         raise argparse.ArgumentTypeError(f"expected a finite number of seconds >= 0, got {text!r}")
     return value
 

@@ -2,18 +2,18 @@
 
 The embedded solver implements the classic loop: two-watched-literal
 propagation, first-UIP conflict analysis, activity-based branching with
-decay, phase saving, and Luby-scheduled restarts.  When the formula carries
-a varmap, its selectors and then p's bits, from bit 0 upward, are decided
+decay, and phase saving; it never restarts.  When the formula carries a
+varmap, its selectors and then p's bits, from bit 0 upward, are decided
 first, in that fixed order: for odd p, p mod 2^k fixes q mod 2^k through
 the product's low columns, so each decided bit of p lets propagation fix
 the next bit of q.  Every other variable, q's bits among them, is decided
 in activity order (VSIDS) once every input is assigned, so the search
 stays complete on any formula; without a varmap it is plain VSIDS.  The
 VSIDS heap is built at the first VSIDS pick, so a search that propagation
-finishes from the inputs never builds it.  All randomness (initial
-polarities, occasional random polarity decisions) comes from the config
-seed, so a (formula, config) pair always reproduces the same search, the
-same statistics, and the same model.
+finishes from the inputs never builds it.  A decision takes the variable's
+saved phase; the config seed draws only the initial phases, so a (formula,
+config) pair always reproduces the same search, the same statistics, and
+the same model.
 
 Literals are encoded internally as 2*var for the positive and 2*var+1 for
 the negative literal; negation is a xor, which keeps the hot propagation
@@ -22,6 +22,7 @@ loop free of sign juggling.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -34,8 +35,6 @@ _VAL_TRUE = 1
 _VAL_UNDEF = 2
 
 _VAR_DECAY = 0.95
-_RESTART_BASE = 64  # conflicts per Luby unit
-_RANDOM_POLARITY_PROB = 0.02
 _CORE_LBD = 3  # learned clauses at or below this literal-block distance are kept forever
 _REDUCE_START = 4000
 _REDUCE_GROWTH = 1.2
@@ -61,8 +60,14 @@ class SolverConfig:
     time_limit: float | None = None
 
     def __post_init__(self):
-        if self.time_limit != self.time_limit:  # only NaN differs from itself
-            raise ValueError("time_limit must be a number, got nan")
+        check_time_limit(self.time_limit)
+
+
+def check_time_limit(time_limit: float | None) -> None:
+    """The one time-limit rule: None, or a finite number of seconds >= 0
+    (0 gives UNKNOWN at once).  NaN would never stop a search."""
+    if time_limit is not None and not 0 <= time_limit < math.inf:
+        raise ValueError(f"time_limit must be a finite number of seconds >= 0, got {time_limit!r}")
 
 
 @dataclass
@@ -75,24 +80,12 @@ class SolveResult:
     wall_time: float
 
 
-def luby(i: int) -> int:
-    """The i-th element (1-based) of the Luby sequence 1 1 2 1 1 2 4 1 1 2 ..."""
-    if i < 1:
-        raise ValueError("luby is 1-based")
-    while True:
-        k = i.bit_length()
-        if i == (1 << k) - 1:
-            return 1 << (k - 1)
-        i = i - (1 << (k - 1)) + 1
-
-
 class _Cdcl:
     def __init__(self, formula: Formula, cfg: SolverConfig):
         self.cfg = cfg
         self.nvars = formula.num_vars
         n = self.nvars
         rng = random.Random(cfg.seed)
-        self.rng = rng
 
         self.lit_val = [_VAL_UNDEF] * (2 * n + 2)
         self.level = [-1] * (n + 1)
@@ -390,15 +383,13 @@ class _Cdcl:
     def solve(self) -> SolveResult:
         start = time.perf_counter()
         cfg = self.cfg
-        restart_count = 0
-        restart_limit = _RESTART_BASE * luby(1)
-        conflicts_since_restart = 0
         reduce_interval = _REDUCE_START
         next_reduce = _REDUCE_START
         status = None if self.ok else Status.UNSAT
 
         while status is None:
-            # Each pass but a restart adds one conflict or one decision.
+            # Every pass that does not end the search adds one conflict or one
+            # decision, so the clock is read once per 256 passes.
             if (
                 cfg.time_limit is not None
                 and (self.conflicts + self.decisions) & _TIME_CHECK_MASK == 0
@@ -409,7 +400,6 @@ class _Cdcl:
             conflict = self._propagate()
             if conflict is not None:
                 self.conflicts += 1
-                conflicts_since_restart += 1
                 if not self.trail_lim:
                     status = Status.UNSAT
                     break
@@ -427,24 +417,13 @@ class _Cdcl:
                     next_reduce = self.conflicts + reduce_interval
                 continue
 
-            if conflicts_since_restart >= restart_limit:
-                restart_count += 1
-                restart_limit = _RESTART_BASE * luby(restart_count + 1)
-                conflicts_since_restart = 0
-                self._backtrack(0)
-                continue
-
             var = self._pick_branch_var()
             if var is None:
                 status = Status.SAT
                 break
             self.decisions += 1
-            if self.rng.random() < _RANDOM_POLARITY_PROB:
-                polarity = self.rng.random() < 0.5
-            else:
-                polarity = self.saved_phase[var]
             self.trail_lim.append(len(self.trail))
-            self._assign(2 * var if polarity else 2 * var + 1, None)
+            self._assign(2 * var if self.saved_phase[var] else 2 * var + 1, None)
 
         wall = time.perf_counter() - start
         assignment = None
@@ -487,7 +466,8 @@ def solve_external(cmd_template: str, formula: Formula, time_limit: float | None
     import tempfile
     from pathlib import Path
 
-    if time_limit is not None and time_limit <= 0:
+    check_time_limit(time_limit)
+    if time_limit == 0:
         return SolveResult(Status.UNKNOWN, None, 0, 0, 0, 0.0)
     argv = shlex.split(cmd_template)
     if not argv:

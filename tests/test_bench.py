@@ -62,6 +62,12 @@ class TestExperimentPlan:
             tiny_plan(strategy="trial_division", solver="external", external_cmd="kissat")
         assert tiny_plan(solver="external", external_cmd="kissat").external_cmd == "kissat"
 
+    @pytest.mark.parametrize("time_limit", [-1.0, float("nan"), float("inf")])
+    def test_bad_time_limit_rejected(self, time_limit):
+        # a negative limit used to be accepted and write a dataset of UNKNOWN rows
+        with pytest.raises(ValueError, match="time_limit"):
+            tiny_plan(time_limit=time_limit)
+
     def test_fingerprint_stable_and_distinct(self):
         assert tiny_plan().fingerprint() == tiny_plan().fingerprint()
         assert tiny_plan().fingerprint() != tiny_plan(master_seed=9).fingerprint()

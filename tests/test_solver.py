@@ -17,7 +17,6 @@ from satfactor.solver import (
     SolverOutputError,
     SolverSpawnError,
     _Cdcl,
-    luby,
     solve,
     solve_external,
 )
@@ -45,15 +44,6 @@ def random_3cnf(rng, num_vars, num_clauses):
         variables = rng.sample(range(1, num_vars + 1), 3)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
     return Formula(num_vars, clauses)
-
-
-class TestLuby:
-    def test_sequence(self):
-        assert [luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
-
-    def test_one_based(self):
-        with pytest.raises(ValueError):
-            luby(0)
 
 
 class TestSolveBasics:
@@ -189,13 +179,15 @@ class TestGoldenCounters:
     @pytest.mark.parametrize(
         "n, split, seed, conflict_limit, expected",
         [
-            (191117, (9, 9), 0, None, ("SAT", 28, 32, 2645, "ccfbc6a8e65c39d9")),
-            (191117, (9, 9), 1, None, ("SAT", 119, 181, 6988, "c670d636e01bc16a")),
+            (191117, (9, 9), 0, None, ("SAT", 22, 26, 2056, "ccfbc6a8e65c39d9")),
+            (191117, (9, 9), 1, None, ("SAT", 134, 174, 7973, "ccfbc6a8e65c39d9")),
             (191117, (9, 9), 2, None, ("SAT", 26, 35, 1922, "ccfbc6a8e65c39d9")),
-            (1228109, (10, 11), 0, None, ("UNSAT", 556, 727, 52150, None)),
+            (1228109, (10, 11), 0, None, ("UNSAT", 492, 591, 50257, None)),
             (12218671, (12, 12), 0, 50, ("UNKNOWN", 50, 58, 6855, None)),
+            # one reduction (at 4,000 conflicts) and one rescale; seed 1
+            # ends at 4,201 conflicts, before any rescale
             pytest.param(
-                33554467, (13, 13), 1, None, ("UNSAT", 4779, 6209, 606073, None),
+                33554467, (13, 13), 0, None, ("UNSAT", 4708, 5990, 567118, None),
                 marks=pytest.mark.slow,
                 id="prime26-reduce-and-rescale",
             ),
@@ -210,13 +202,13 @@ class TestGoldenCounters:
     @pytest.mark.parametrize(
         "n, split, seed, conflict_limit, expected",
         [
-            (191117, (9, 9), 0, None, ("SAT", 28, 30, 2358, "ccfbc6a8e65c39d9")),
-            (191117, (9, 9), 1, None, ("SAT", 74, 80, 5862, "c670d636e01bc16a")),
+            (191117, (9, 9), 0, None, ("SAT", 23, 28, 1907, "ccfbc6a8e65c39d9")),
+            (191117, (9, 9), 1, None, ("SAT", 80, 85, 6023, "c670d636e01bc16a")),
             (191117, (9, 9), 2, None, ("SAT", 21, 24, 1742, "ccfbc6a8e65c39d9")),
-            (1228109, (10, 11), 0, None, ("UNSAT", 238, 245, 26485, None)),
+            (1228109, (10, 11), 0, None, ("UNSAT", 234, 233, 26011, None)),
             (12218671, (12, 12), 0, 50, ("UNKNOWN", 50, 54, 5877, None)),
             pytest.param(
-                33554467, (13, 13), 1, None, ("UNSAT", 1672, 1736, 205427, None),
+                33554467, (13, 13), 1, None, ("UNSAT", 1671, 1671, 200079, None),
                 marks=pytest.mark.slow,
                 id="prime26-inputs-first",
             ),
@@ -235,7 +227,7 @@ class TestGoldenCounters:
         solver = _ReferenceBranching(formula, SolverConfig(seed=0))
         solver.var_inc = 1e95
         result = solver.solve()
-        assert counters(result) == ("UNSAT", 238, 245, 26485, None)
+        assert counters(result) == ("UNSAT", 234, 233, 26011, None)
         assert solver.reduces >= 1 and solver.rescales >= 1
 
 
@@ -322,7 +314,7 @@ class TestBranchingReference:
         assert not solver.order
         assert solver.input_picks == 0 and solver.heap_picks > 0
         # the plain-VSIDS golden row of the same instance and seed
-        assert counters(result) == ("SAT", 119, 181, 6988, "c670d636e01bc16a")
+        assert counters(result) == ("SAT", 134, 174, 7973, "ccfbc6a8e65c39d9")
 
     def test_picks_match_argmax_across_rescale(self):
         formula, _ = encode(spec_for([1228109], "karatsuba", (11, 11)))
@@ -371,7 +363,48 @@ class TestLazyHeap:
         assert solver.rescales >= 1 and solver.heap_picks == 0
         assert solver.heap is None
         # activity never picks here, so the search is the unscaled one
-        assert counters(result) == ("UNSAT", 238, 245, 26485, None)
+        assert counters(result) == ("UNSAT", 234, 233, 26011, None)
+
+
+class _CountingBacktracks(_Cdcl):
+    def __init__(self, formula, cfg):
+        super().__init__(formula, cfg)
+        self.backtracks = 0
+        self.learnt_clauses = 0
+
+    def _backtrack(self, target_level):
+        self.backtracks += 1
+        super()._backtrack(target_level)
+
+    def _record_learnt(self, learnt, lbd):
+        self.learnt_clauses += 1
+        super()._record_learnt(learnt, lbd)
+
+
+class TestNoRestarts:
+    """The search never restarts, and the seed enters it only through the
+    initial saved phases."""
+
+    def test_one_backtrack_per_learnt_clause(self):
+        # 234 conflicts; a restart would add backtracks that learn nothing
+        formula, _ = encode(spec_for([1228109], split=(10, 11)))
+        solver = _CountingBacktracks(formula, SolverConfig(seed=0))
+        result = solver.solve()
+        assert result.status is Status.UNSAT and result.conflicts > 64
+        # every conflict but the last, at level 0, learns a clause
+        assert solver.learnt_clauses == result.conflicts - 1
+        assert solver.backtracks == solver.learnt_clauses
+
+    @pytest.mark.parametrize("varmap", [True, False], ids=["inputs-first", "plain"])
+    def test_seed_acts_only_through_initial_phases(self, varmap):
+        formula, _ = encode(spec_for([191117], split=(9, 9)))
+        if not varmap:
+            formula = dataclasses.replace(formula, varmap=None)
+        a = _Cdcl(formula, SolverConfig(seed=1))
+        b = _Cdcl(formula, SolverConfig(seed=2))
+        assert a.saved_phase != b.saved_phase
+        b.saved_phase = list(a.saved_phase)
+        assert counters(a.solve()) == counters(b.solve())
 
 
 def _reference_build(formula):
@@ -458,6 +491,11 @@ class TestLimits:
         with pytest.raises(ValueError, match="time_limit"):
             SolverConfig(time_limit=float("nan"))
 
+    @pytest.mark.parametrize("time_limit", [float("inf"), -1.0, -0.5])
+    def test_infinite_or_negative_time_limit_rejected(self, time_limit):
+        with pytest.raises(ValueError, match="finite number of seconds >= 0"):
+            SolverConfig(time_limit=time_limit)
+
     def test_generous_limits_still_solve(self):
         s = gen_semiprime(10, seed=5)
         formula, _ = encode(spec_for([s.value], split=s.split))
@@ -475,14 +513,14 @@ class TestLimits:
 class TestClauseDeletion:
     def test_watches_hold_only_live_clauses(self, monkeypatch):
         # 21-bit prime; without the patch no reduction runs and the search
-        # takes 355 conflicts
+        # takes 351 conflicts
         monkeypatch.setattr("satfactor.solver._REDUCE_START", 100)
         formula, _ = encode(spec_for([2097143], split=(11, 11)))
         cdcl = _ReferenceBranching(formula, SolverConfig(seed=1))
         inputs = {id(c) for ws in cdcl.watches for _, c in ws}
         result = cdcl.solve()
         assert (result.status.name, result.conflicts, result.decisions, result.propagations) == (
-            "UNSAT", 362, 378, 39551,
+            "UNSAT", 351, 354, 38311,
         )
         assert cdcl.reduces >= 1
         holders = {}  # id(clause) -> the literals whose watch lists hold it
@@ -536,6 +574,13 @@ class TestSolveExternal:
             embedded = solve(formula, SolverConfig(seed=0))
             external = solve_external(EXTERNAL, formula, time_limit=120)
             assert embedded.status is external.status
+
+    @pytest.mark.parametrize("time_limit", [float("nan"), float("inf"), -1.0])
+    def test_bad_time_limit_rejected_before_spawn(self, time_limit):
+        # a spawn would raise SolverSpawnError here; nan used to raise from
+        # inside subprocess, inf OverflowError, and -1.0 returned UNKNOWN
+        with pytest.raises(ValueError, match="time_limit"):
+            solve_external("/nonexistent/solver-binary", Formula(1, [(1,)]), time_limit=time_limit)
 
     def test_zero_time_limit_unknown(self):
         s = gen_semiprime(16, seed=7)
