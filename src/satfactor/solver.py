@@ -13,7 +13,10 @@ VSIDS heap is built at the first VSIDS pick, so a search that propagation
 finishes from the inputs never builds it.  A decision takes the variable's
 saved phase; the config seed draws only the initial phases, so a (formula,
 config) pair always reproduces the same search, the same statistics, and
-the same model.
+the same model.  Learnt clauses are kept in learn order with their LBD
+(literal-block distance); every 4,000 conflicts, half of those with an
+LBD above 3 that are no reason for an assignment are deleted, the highest
+LBD first and the oldest first among equal LBDs.
 
 Literals are encoded internally as 2*var for the positive and 2*var+1 for
 the negative literal; negation is a xor, which keeps the hot propagation
@@ -36,8 +39,7 @@ _VAL_UNDEF = 2
 
 _VAR_DECAY = 0.95
 _CORE_LBD = 3  # learned clauses at or below this literal-block distance are kept forever
-_REDUCE_START = 4000
-_REDUCE_GROWTH = 1.2
+_REDUCE_INTERVAL = 4000  # conflicts between two reductions of the learnt clauses
 _TIME_CHECK_MASK = 0xFF
 
 
@@ -60,6 +62,9 @@ class SolverConfig:
     time_limit: float | None = None
 
     def __post_init__(self):
+        limit = self.conflict_limit
+        if limit is not None and (type(limit) is not int or limit < 0):
+            raise ValueError(f"conflict_limit must be an integer >= 0, got {limit!r}")
         check_time_limit(self.time_limit)
 
 
@@ -111,9 +116,9 @@ class _Cdcl:
         self.trail_lim: list[int] = []
         self.qhead = 0
 
-        # id(clause) -> [clause, lbd, activity] for each live learnt clause
-        # of two or more literals, in the order they were learnt.
-        self.learnts: dict[int, list] = {}
+        # (clause, lbd) for each live learnt clause of two or more literals,
+        # in the order they were learnt.
+        self.learnts: list[tuple[list[int], int]] = []
 
         self.conflicts = 0
         self.decisions = 0
@@ -290,14 +295,10 @@ class _Cdcl:
         p_lit = -1  # sentinel: consider every literal of the conflict clause
         idx = len(trail) - 1
         c = conflict
-        learnts = self.learnts
         activity = self.activity
         queued = self.queued
         var_inc = self.var_inc
         while True:
-            record = learnts.get(id(c))
-            if record is not None:
-                record[2] += 1.0
             for q in c:
                 if q == p_lit:
                     continue
@@ -352,45 +353,39 @@ class _Cdcl:
             self._assign(learnt[0], None)
             return
         self._attach(learnt)
-        self.learnts[id(learnt)] = [learnt, lbd, 0.0]
+        self.learnts.append((learnt, lbd))
         self._assign(learnt[0], learnt)
 
     # -- learned clause deletion
 
     def _reduce_db(self) -> None:
+        """Keep every clause of LBD <= _CORE_LBD and every reason; drop half of
+        the rest, highest LBD first and the oldest first among equal LBDs."""
         reason = self.reason
-        keep: list[list] = []
-        removable: list[list] = []
-        for record in self.learnts.values():
-            c = record[0]
-            # c can be the reason only of c[0], the literal it implied
-            if record[1] <= _CORE_LBD or reason[c[0] >> 1] is c:
-                keep.append(record)
-            else:
-                removable.append(record)
-        removable.sort(key=lambda record: record[2])
-        half = len(removable) // 2
+        # c can be the reason only of c[0], the literal it implied
+        removable = [(c, lbd) for c, lbd in self.learnts if lbd > _CORE_LBD and reason[c[0] >> 1] is not c]
+        removable.sort(key=lambda record: -record[1])  # stable: the oldest first within an LBD
+        drop = removable[: len(removable) // 2]
         # A clause is watched by its first two literals, so only their lists
         # can hold a dropped clause; each is filtered once, in order.
-        dropped = {id(c) for c, _, _ in removable[:half]}
+        dropped = {id(c) for c, _ in drop}
         watches = self.watches
-        for lit in {lit for c, _, _ in removable[:half] for lit in c[:2]}:
+        for lit in {lit for c, _ in drop for lit in c[:2]}:
             watches[lit] = [entry for entry in watches[lit] if id(entry[1]) not in dropped]
-        self.learnts = {id(record[0]): record for record in keep + removable[half:]}
+        self.learnts = [record for record in self.learnts if id(record[0]) not in dropped]
 
     # -- main loop
 
     def solve(self) -> SolveResult:
         start = time.perf_counter()
         cfg = self.cfg
-        reduce_interval = _REDUCE_START
-        next_reduce = _REDUCE_START
         status = None if self.ok else Status.UNSAT
 
         while status is None:
             # Every pass that does not end the search adds one conflict or one
-            # decision, so the clock is read once per 256 passes.
-            if (
+            # decision; the conflict limit is tested on each pass, the clock
+            # once per 256 passes.
+            if (cfg.conflict_limit is not None and self.conflicts >= cfg.conflict_limit) or (
                 cfg.time_limit is not None
                 and (self.conflicts + self.decisions) & _TIME_CHECK_MASK == 0
                 and time.perf_counter() - start > cfg.time_limit
@@ -407,14 +402,8 @@ class _Cdcl:
                 self._backtrack(backtrack_level)
                 self._record_learnt(learnt, lbd)
                 self.var_inc /= _VAR_DECAY
-
-                if cfg.conflict_limit is not None and self.conflicts >= cfg.conflict_limit:
-                    status = Status.UNKNOWN
-                    break
-                if self.conflicts >= next_reduce:
+                if self.conflicts % _REDUCE_INTERVAL == 0:
                     self._reduce_db()
-                    reduce_interval = int(reduce_interval * _REDUCE_GROWTH)
-                    next_reduce = self.conflicts + reduce_interval
                 continue
 
             var = self._pick_branch_var()

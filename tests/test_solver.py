@@ -171,7 +171,9 @@ class TestGoldenCounters:
     A change to the hot loops that is meant to be implementation-only must
     leave every branching choice, propagation and learnt clause as it was,
     so these counters may not move.  ``test_counters`` solves each instance
-    without its varmap, where branching is plain VSIDS over every variable;
+    without its varmap, where branching is plain VSIDS over every variable,
+    and also pins how many reductions and rescales the search made (the
+    last two entries of each row);
     ``test_counters_inputs_first`` solves it as encoded: the selectors, then
     p from its lowest bit, then VSIDS.
     """
@@ -179,15 +181,14 @@ class TestGoldenCounters:
     @pytest.mark.parametrize(
         "n, split, seed, conflict_limit, expected",
         [
-            (191117, (9, 9), 0, None, ("SAT", 22, 26, 2056, "ccfbc6a8e65c39d9")),
-            (191117, (9, 9), 1, None, ("SAT", 134, 174, 7973, "ccfbc6a8e65c39d9")),
-            (191117, (9, 9), 2, None, ("SAT", 26, 35, 1922, "ccfbc6a8e65c39d9")),
-            (1228109, (10, 11), 0, None, ("UNSAT", 492, 591, 50257, None)),
-            (12218671, (12, 12), 0, 50, ("UNKNOWN", 50, 58, 6855, None)),
-            # one reduction (at 4,000 conflicts) and one rescale; seed 1
-            # ends at 4,201 conflicts, before any rescale
+            (191117, (9, 9), 0, None, ("SAT", 22, 26, 2056, "ccfbc6a8e65c39d9", 0, 0)),
+            (191117, (9, 9), 1, None, ("SAT", 134, 174, 7973, "ccfbc6a8e65c39d9", 0, 0)),
+            (191117, (9, 9), 2, None, ("SAT", 26, 35, 1922, "ccfbc6a8e65c39d9", 0, 0)),
+            (1228109, (10, 11), 0, None, ("UNSAT", 492, 591, 50257, None, 0, 0)),
+            (12218671, (12, 12), 0, 50, ("UNKNOWN", 50, 58, 6855, None, 0, 0)),
+            # one reduction (at 4,000 conflicts) and one rescale
             pytest.param(
-                33554467, (13, 13), 0, None, ("UNSAT", 4708, 5990, 567118, None),
+                33554467, (13, 13), 0, None, ("UNSAT", 4729, 6070, 564074, None, 1, 1),
                 marks=pytest.mark.slow,
                 id="prime26-reduce-and-rescale",
             ),
@@ -196,8 +197,9 @@ class TestGoldenCounters:
     def test_counters(self, n, split, seed, conflict_limit, expected):
         formula, _ = encode(spec_for([n], split=split))
         plain = dataclasses.replace(formula, varmap=None)
-        result = solve(plain, SolverConfig(seed=seed, conflict_limit=conflict_limit))
-        assert counters(result) == expected
+        solver = _CountingUpkeep(plain, SolverConfig(seed=seed, conflict_limit=conflict_limit))
+        result = solver.solve()
+        assert (*counters(result), solver.reduces, solver.rescales) == expected
 
     @pytest.mark.parametrize(
         "n, split, seed, conflict_limit, expected",
@@ -222,16 +224,33 @@ class TestGoldenCounters:
     def test_reduce_and_rescale_inputs_first(self, monkeypatch):
         # with the varmap the 26-bit row above reaches neither a reduction
         # nor a rescale: an early reduction and a large bump force both here
-        monkeypatch.setattr("satfactor.solver._REDUCE_START", 100)
+        monkeypatch.setattr("satfactor.solver._REDUCE_INTERVAL", 100)
         formula, _ = encode(spec_for([1228109], split=(10, 11)))
         solver = _ReferenceBranching(formula, SolverConfig(seed=0))
         solver.var_inc = 1e95
         result = solver.solve()
-        assert counters(result) == ("UNSAT", 234, 233, 26011, None)
+        assert counters(result) == ("UNSAT", 235, 234, 26076, None)
         assert solver.reduces >= 1 and solver.rescales >= 1
 
 
-class _ReferenceBranching(_Cdcl):
+class _CountingUpkeep(_Cdcl):
+    """Counts the clause-database reductions and the activity rescales."""
+
+    def __init__(self, formula, cfg):
+        super().__init__(formula, cfg)
+        self.rescales = 0
+        self.reduces = 0
+
+    def _rescale_activity(self):
+        self.rescales += 1
+        super()._rescale_activity()
+
+    def _reduce_db(self):
+        self.reduces += 1
+        super()._reduce_db()
+
+
+class _ReferenceBranching(_CountingUpkeep):
     """Checks every branching pick against a brute-force rule: the first
     unassigned entry of the varmap's ``sel_vars + p_bits`` while one is
     left, then the unassigned variable with the highest (activity, -var).
@@ -244,16 +263,6 @@ class _ReferenceBranching(_Cdcl):
         self.order = [] if varmap is None else [*varmap.sel_vars, *varmap.p_bits]
         self.input_picks = 0
         self.heap_picks = 0
-        self.rescales = 0
-        self.reduces = 0
-
-    def _rescale_activity(self):
-        self.rescales += 1
-        super()._rescale_activity()
-
-    def _reduce_db(self):
-        self.reduces += 1
-        super()._reduce_db()
 
     def _pick_branch_var(self):
         variables = range(1, self.nvars + 1)
@@ -480,6 +489,25 @@ class TestLimits:
         assert result.status is Status.UNKNOWN
         assert result.assignment is None
 
+    @pytest.mark.parametrize(
+        "n, split",
+        [(35, (3, 3)), (1048573, (10, 11))],
+        ids=["sat-without-conflicts", "prime20"],
+    )
+    def test_conflict_limit_zero_unknown_before_any_work(self, n, split):
+        # like time_limit=0; the limit used to be tested only after a
+        # conflict, so 35 came out SAT and the prime UNKNOWN after 1 conflict
+        formula, _ = encode(spec_for([n], split=split))
+        result = solve(formula, SolverConfig(seed=0, conflict_limit=0))
+        assert (result.status, result.conflicts, result.decisions, result.propagations) == (
+            Status.UNKNOWN, 0, 0, 0,
+        )
+
+    @pytest.mark.parametrize("conflict_limit", [-5, -1, True, False, 1.0, 2.5, float("inf"), "10"])
+    def test_bad_conflict_limit_rejected(self, conflict_limit):
+        with pytest.raises(ValueError, match="conflict_limit must be an integer >= 0"):
+            SolverConfig(conflict_limit=conflict_limit)
+
     def test_time_limit_zero_unknown(self):
         s = gen_semiprime(20, seed=4)
         formula, _ = encode(spec_for([s.value], split=s.split))
@@ -514,22 +542,51 @@ class TestClauseDeletion:
     def test_watches_hold_only_live_clauses(self, monkeypatch):
         # 21-bit prime; without the patch no reduction runs and the search
         # takes 351 conflicts
-        monkeypatch.setattr("satfactor.solver._REDUCE_START", 100)
+        monkeypatch.setattr("satfactor.solver._REDUCE_INTERVAL", 100)
         formula, _ = encode(spec_for([2097143], split=(11, 11)))
         cdcl = _ReferenceBranching(formula, SolverConfig(seed=1))
         inputs = {id(c) for ws in cdcl.watches for _, c in ws}
         result = cdcl.solve()
         assert (result.status.name, result.conflicts, result.decisions, result.propagations) == (
-            "UNSAT", 351, 354, 38311,
+            "UNSAT", 359, 363, 38744,
         )
-        assert cdcl.reduces >= 1
+        assert cdcl.reduces == 3
         holders = {}  # id(clause) -> the literals whose watch lists hold it
         for lit, ws in enumerate(cdcl.watches):
             for _, c in ws:
                 holders.setdefault(id(c), []).append(lit)
-        assert holders.keys() <= inputs | cdcl.learnts.keys()
-        for cid, (c, _, _) in cdcl.learnts.items():
-            assert holders[cid] == sorted(c[:2])
+        assert holders.keys() <= inputs | {id(c) for c, _ in cdcl.learnts}
+        for c, _ in cdcl.learnts:
+            assert holders[id(c)] == sorted(c[:2])
+
+    def test_reduce_db_policy(self):
+        # input clauses over variables 31..40; planted learnt clauses over 1..27
+        formula = Formula(40, [(31, -32, 33), (-34, 35), (36, 37, -38, 39), (-40, 31)])
+        cdcl = _Cdcl(formula, SolverConfig())
+        input_watches = [list(ws) for ws in cdcl.watches]
+        lbds = {"A": 5, "B": 8, "C": 2, "D": 5, "E": 6, "F": 9, "G": 5, "H": 4, "I": 5}
+        clauses = {}
+        for k, (name, lbd) in enumerate(lbds.items()):
+            c = [2 * (3 * k + 1), 2 * (3 * k + 2) + 1, 2 * (3 * k + 3)]
+            clauses[name] = c
+            cdcl._attach(c)
+            cdcl.learnts.append((c, lbd))
+        # F, the highest LBD, is the reason of its first literal
+        cdcl.trail_lim.append(0)
+        cdcl._assign(clauses["F"][0], clauses["F"])
+        cdcl._reduce_db()
+        # C is core (LBD <= 3) and F a reason; of the other seven,
+        # B (8), E (6) and A (the oldest of the four at LBD 5) go
+        assert cdcl.learnts == [(clauses[name], lbds[name]) for name in "CDFGHI"]
+        dropped = {id(clauses[name]) for name in "ABE"}
+        assert not any(id(c) in dropped for ws in cdcl.watches for _, c in ws)
+        for name in "CDFGHI":
+            c = clauses[name]
+            holders = [lit for lit, ws in enumerate(cdcl.watches) if any(w is c for _, w in ws)]
+            assert holders == sorted(c[:2])
+        # the input clauses' entries are untouched
+        inputs = {id(c) for ws in input_watches for _, c in ws}
+        assert [[entry for entry in ws if id(entry[1]) in inputs] for ws in cdcl.watches] == input_watches
 
 
 def _running(pid):
